@@ -19,8 +19,9 @@ def main() -> None:
 
     # 1. Configure a run.  SimConfig is keyword-only and validated;
     # the same object also drives the "testbed" and "chaos" scenarios.
-    # execution picks the engine: "event" schedules per cell, "batch"
-    # runs round-synchronous vectors — observationally equivalent.
+    # execution picks the engine: "event" schedules one event per
+    # cell, "batch-v2" carries each round as one run table —
+    # observationally equivalent.
     config = SimConfig(seed=7, n_clients=12, n_channels=4, call_pairs=2,
                        execution="event")
     report = Simulation(config).run(rounds=50)
@@ -66,17 +67,16 @@ def main() -> None:
     # 5. Determinism: an identically-seeded run reproduces the exact
     # same measurements (the herdscope contract — no wall clock, no
     # unseeded RNG anywhere in the instrumented path).  Running the
-    # round-synchronous batch engine instead changes *how* the rounds
-    # execute, not what they produce: the snapshot is still identical
-    # byte for byte (DESIGN.md §9, the observational-equivalence
-    # contract).
+    # batch-v2 plane instead changes *how* the wire image is carried,
+    # not what it is: the snapshot is still identical byte for byte
+    # (DESIGN.md §9, the observational-equivalence contract).
     again = Simulation(config).run(rounds=50)
     assert again.metrics == report.metrics
-    batch_cfg = SimConfig(seed=7, n_clients=12, n_channels=4,
-                          call_pairs=2, execution="batch")
-    batched = Simulation(batch_cfg).run(rounds=50)
-    assert batched.metrics == report.metrics
-    print("\nre-ran same seed (event + batch engines): metrics "
+    v2_cfg = SimConfig(seed=7, n_clients=12, n_channels=4,
+                       call_pairs=2, execution="batch-v2")
+    v2 = Simulation(v2_cfg).run(rounds=50)
+    assert v2.metrics == report.metrics
+    print("\nre-ran same seed (event + batch-v2 engines): metrics "
           "snapshots identical.")
 
     # 6. Export for dashboards or diffing.

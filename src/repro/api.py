@@ -64,12 +64,10 @@ class SimConfig:
     execution:
         The execution engine, resolved by name through the
         :mod:`repro.execution` registry: ``"event"`` (default) — the
-        classical per-cell / per-channel hot path; ``"batch"`` —
-        round-synchronous batch execution (one core entry point per
-        component per round, vectors of cells on the wire);
-        ``"batch-v2"`` — the vectorized plane (run-length cell
-        vectors with aggregate chaff accounting, shardable across
-        worker processes); ``"asyncio"`` — the real-network plane
+        per-cell reference wire path (one packet and one heap event
+        per cell); ``"batch-v2"`` — the vectorized plane (one run
+        table per round with aggregate chaff accounting, shardable
+        across worker processes); ``"asyncio"`` — the real-network plane
         (the same round-synchronous protocol, every cell carried as
         a framed UDP datagram over loopback, DESIGN.md §14).  The
         engines are observationally equivalent: a seeded run
@@ -384,8 +382,6 @@ class Simulation:
             bed.ready_for_calls(callee)
             sessions.append(bed.call(caller, callee))
         delivered = 0
-        batch = execution_registry.get_plane(
-            cfg.execution).zone_mode == "batch"
         for r in range(rounds):
             frame_clock["round"] = r
             payload = b"\x42" * 160
@@ -396,14 +392,10 @@ class Simulation:
                     if session.send_voice(direction, payload) == \
                             payload:
                         this_round += 1
-                        if not batch:
-                            frames.inc()
-                            frame_bytes.inc(len(payload))
-            if batch and this_round:
-                # One bulk update per round instead of one per frame;
-                # same totals, same updated_at stamp (every per-frame
-                # inc of the round reads the same round clock), so
-                # snapshots stay byte-identical across engines.
+            if this_round:
+                # One bulk update per round: the same totals and the
+                # same updated_at stamp as one inc per frame (every
+                # frame of the round reads the same round clock).
                 frames.add(this_round)
                 frame_bytes.add(this_round * len(payload))
             delivered += this_round

@@ -13,6 +13,7 @@ the client ended up.
 
 from __future__ import annotations
 
+import hmac
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -29,6 +30,11 @@ from repro.core.retry import (
 from repro.core.superpeer import SuperPeer
 
 _numeric_ids = itertools.count(0)
+
+
+class JoinKeyMismatchError(RuntimeError):
+    """The client and the adopting mix derived different session keys
+    during a join (a protocol bug or a tampered handshake)."""
 
 
 @dataclass
@@ -93,8 +99,10 @@ def join_zone(client: HerdClient, directory: ZoneDirectory,
             client.short_term.public_bytes)
     client.finish_join(eph, mix_id, mix.short_term.public_bytes,
                        numeric_id, certificate)
-    assert client.session_key.key == session_key.key, \
-        "join key agreement mismatch"
+    if not hmac.compare_digest(client.session_key.key,
+                               session_key.key):
+        raise JoinKeyMismatchError(
+            f"join key agreement mismatch for {client.client_id}")
 
     # 4. Adoption: direct link, or redirection to superpeers.
     if not superpeers or not mix.channels:

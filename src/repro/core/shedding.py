@@ -12,7 +12,7 @@ client experiences backpressure (added latency), never loss.
 once per channel per round for a payload budget and reports what it
 admitted/deferred.  It is deliberately deterministic — budgets are a
 pure function of membership, and admission is strict slot order — so
-the event and batch engines shed identically (the observational-
+every execution plane sheds identically (the observational-
 equivalence contract, DESIGN.md §9/§10).
 
 Note the division of labour with invariant I8: *SPs* cannot shed by

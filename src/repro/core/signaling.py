@@ -52,6 +52,12 @@ def _nonce(channel_id: int, round_index: int) -> bytes:
                                       round_index % (1 << 64))
 
 
+class DownstreamPacketSizeError(RuntimeError):
+    """A sealed downstream packet came out at the wrong size, which
+    would make it distinguishable on the wire from upstream packets
+    and chaff."""
+
+
 def make_downstream_packet(key: SessionKey, channel_id: int,
                            round_index: int, kind: int,
                            payload: bytes) -> bytes:
@@ -65,7 +71,10 @@ def make_downstream_packet(key: SessionKey, channel_id: int,
              + payload.ljust(_CAPACITY, b"\x00"))
     aead = ChaCha20Poly1305(key.key)
     packet = aead.encrypt(_nonce(channel_id, round_index), clear)
-    assert len(packet) == DOWNSTREAM_PACKET_SIZE
+    if len(packet) != DOWNSTREAM_PACKET_SIZE:
+        raise DownstreamPacketSizeError(
+            f"sealed downstream packet is {len(packet)} bytes, not "
+            f"{DOWNSTREAM_PACKET_SIZE}")
     return packet
 
 

@@ -1,54 +1,50 @@
 """The ExecutionPlane registry: execution engines resolved by name.
 
-Before this module, every layer that accepted an ``execution=`` knob
+Every layer that accepts an ``execution=`` knob
 (:class:`repro.api.SimConfig`, :class:`repro.simulation.live.LiveZone`,
 :class:`repro.simulation.roundsync.WireFabric`, the scenario engine,
-``ChaosConfig``) carried its own ``("event", "batch")`` tuple and its
-own if/elif validation — adding an engine meant touching five copies.
-This registry is the single point of truth: an execution plane is
-*registered* once, and every consumer resolves the name through
-:func:`resolve`.
+``ChaosConfig``) resolves the name through :func:`resolve`; an
+execution plane is *registered* once, here.
 
-A plane is described by two orthogonal modes plus a shard capability:
+Every plane runs the same round-synchronous protocol round inside a
+:class:`~repro.simulation.live.LiveZone` (the core entry points
+``SuperPeer.process_round`` / ``MixCallManager.process_round``).
+Planes differ only in how the wire image of a round is carried:
 
-* ``zone_mode`` — how the protocol round runs inside a
-  :class:`~repro.simulation.live.LiveZone`: ``"event"`` (per-channel
-  calls) or ``"batch"`` (the round-synchronous core entry points
-  ``SuperPeer.process_round`` / ``MixCallManager.process_round``).
-  The protocol outputs are byte-identical either way (DESIGN.md §9).
 * ``wire_mode`` — how the :class:`~repro.simulation.roundsync
-  .WireFabric` materializes the wire image: ``"event"`` (one packet +
-  heap event per cell), ``"batch"`` (one :class:`~repro.netsim.rounds
-  .CellBatch` per link per round), or ``"vector"`` (run-length
-  :class:`~repro.netsim.rounds.CellVector` segments with aggregate
-  chaff accounting — O(runs) per round, shardable across worker
-  processes, DESIGN.md §13).
+  .WireFabric` materializes the wire image: ``"event"`` (one
+  :class:`~repro.netsim.packet.Packet` + heap event per cell through
+  :meth:`~repro.netsim.link.Link.transmit` — the reference oracle),
+  ``"vector"`` (one flat run table per round with aggregate chaff
+  accounting — O(runs) per round, shardable across worker processes,
+  DESIGN.md §13), or ``"socket"`` (the same run table rebuilt from
+  real datagrams, DESIGN.md §14);
 * ``supports_shards`` — whether ``shards > 1`` may be requested; the
   sharded wire plane fans round segments out to workers and merges
-  results deterministically (:mod:`repro.netsim.shards`).
+  results deterministically (:mod:`repro.netsim.shards`);
+* ``transport`` — what physically carries the wire image: ``"sim"``
+  (the in-memory :class:`~repro.simulation.roundsync.WireFabric` over
+  netsim links) or ``"udp"`` (cells framed by :mod:`repro.core.wire`
+  ride real UDP datagrams between per-node ``asyncio`` endpoints,
+  bootstrapped by the :mod:`repro.net.introducer`).  Protocol code
+  never branches on the transport — :func:`create_wire_fabric` is the
+  single seam where a resolved plane becomes a concrete
+  :class:`~repro.core.transport.CellTransport`.
 
-A third orthogonal axis, ``transport``, says what physically carries
-the wire image: ``"sim"`` (the in-memory :class:`~repro.simulation
-.roundsync.WireFabric` over netsim links) or ``"udp"`` (the
-real-network plane: cells framed by :mod:`repro.core.wire` ride real
-UDP datagrams between per-node ``asyncio`` endpoints, bootstrapped by
-the :mod:`repro.net.introducer`).  Protocol code never branches on the
-transport — :func:`create_wire_fabric` is the single seam where a
-resolved plane becomes a concrete :class:`~repro.core.transport
-.CellTransport`.
-
-Built-in planes: ``"event"``, ``"batch"``, ``"batch-v2"`` (the
-vectorized, shardable plane), and ``"asyncio"`` (same protocol, real
-UDP sockets over loopback — ROADMAP item 3, DESIGN.md §14).
+Built-in planes: ``"event"``, ``"batch-v2"`` (the vectorized,
+shardable plane) and ``"asyncio"`` (same protocol, real UDP sockets
+over loopback, DESIGN.md §14).  The removed ``"batch"`` plane (one
+per-link batch object per round) resolves to ``"batch-v2"`` with a
+:class:`DeprecationWarning` for one release cycle.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-ZONE_MODES = ("event", "batch")
-WIRE_MODES = ("event", "batch", "vector", "socket")
+WIRE_MODES = ("event", "vector", "socket")
 TRANSPORTS = ("sim", "udp")
 
 
@@ -62,7 +58,6 @@ class ExecutionPlane:
     """
 
     name: str
-    zone_mode: str
     wire_mode: str
     supports_shards: bool = False
     description: str = ""
@@ -72,9 +67,6 @@ class ExecutionPlane:
     transport: str = "sim"
 
     def __post_init__(self) -> None:
-        if self.zone_mode not in ZONE_MODES:
-            raise ValueError(f"zone_mode must be one of {ZONE_MODES}, "
-                             f"not {self.zone_mode!r}")
         if self.wire_mode not in WIRE_MODES:
             raise ValueError(f"wire_mode must be one of {WIRE_MODES}, "
                              f"not {self.wire_mode!r}")
@@ -95,10 +87,6 @@ class PlaneSpec:
         return self.plane.name
 
     @property
-    def zone_mode(self) -> str:
-        return self.plane.zone_mode
-
-    @property
     def wire_mode(self) -> str:
         return self.plane.wire_mode
 
@@ -108,6 +96,9 @@ class PlaneSpec:
 
 
 _REGISTRY: Dict[str, ExecutionPlane] = {}
+#: Removed plane names that still resolve, for one deprecation
+#: cycle, to the plane that replaced them.
+_DEPRECATED_ALIASES = {"batch": "batch-v2"}
 
 
 def register_plane(plane: ExecutionPlane) -> ExecutionPlane:
@@ -123,10 +114,19 @@ def plane_names() -> Tuple[str, ...]:
 
 def get_plane(name: str) -> ExecutionPlane:
     """Look one plane up by name; unknown names raise ``ValueError``
-    listing what is registered (with a did-you-mean when close)."""
+    listing what is registered (with a did-you-mean when close).  A
+    deprecated alias warns and returns its replacement."""
     found = _REGISTRY.get(name)
     if found is not None:
         return found
+    replacement = _DEPRECATED_ALIASES.get(name)
+    if replacement is not None:
+        warnings.warn(
+            f"execution plane {name!r} was removed; it resolves to "
+            f"{replacement!r}, which produces byte-identical outputs. "
+            f"The alias will be removed in the next release.",
+            DeprecationWarning, stacklevel=3)
+        return _REGISTRY[replacement]
     import difflib
     close = difflib.get_close_matches(str(name), _REGISTRY, n=1)
     hint = f" (did you mean {close[0]!r}?)" if close else ""
@@ -152,21 +152,17 @@ def resolve(execution: str, shards: Optional[int] = None) -> PlaneSpec:
 
 
 register_plane(ExecutionPlane(
-    name="event", zone_mode="event", wire_mode="event",
+    name="event", wire_mode="event",
     description="per-cell discrete events: one packet and one heap "
-                "event per cell (the classical reference engine)"))
+                "event per cell (the reference oracle)"))
 register_plane(ExecutionPlane(
-    name="batch", zone_mode="batch", wire_mode="batch",
-    description="round-synchronous batches: one CellBatch per link "
-                "per round, one heap event per round"))
-register_plane(ExecutionPlane(
-    name="batch-v2", zone_mode="batch", wire_mode="vector",
+    name="batch-v2", wire_mode="vector",
     supports_shards=True,
-    description="vectorized rounds: run-length CellVector segments "
+    description="vectorized rounds: one flat run table per round "
                 "with aggregate chaff accounting, shardable across "
                 "worker processes with a deterministic merge"))
 register_plane(ExecutionPlane(
-    name="asyncio", zone_mode="batch", wire_mode="socket",
+    name="asyncio", wire_mode="socket",
     transport="udp",
     description="real-network plane: the same round-synchronous "
                 "protocol, but every cell rides a framed UDP "

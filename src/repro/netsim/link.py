@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.netsim.packet import Packet
-from repro.netsim.taps import offer_runs
 
 
 @dataclass
@@ -119,12 +118,11 @@ class Link:
         return delay
 
     def transmit(self, sender, packet: Packet) -> None:
-        """Send ``packet`` from ``sender`` to the other endpoint.
-
-        This is the per-packet compatibility path — one scheduled
-        delivery event per packet; :meth:`transmit_batch` carries a
-        whole round's cells in one call.  Existing per-packet callers
-        keep working unchanged (and warning-free)."""
+        """Send ``packet`` from ``sender`` to the other endpoint: one
+        ``record`` per observer, one loss draw, and one scheduled
+        delivery event per packet (the ``event`` plane's reference
+        path; the ``batch-v2`` plane offers whole rounds to taps
+        without links, :mod:`repro.simulation.roundsync`)."""
         receiver = self.other(sender)
         packet.sent_at = self.loop.now
         if packet.packet_id is None:
@@ -149,138 +147,6 @@ class Link:
         stats.bytes += packet.size
         self.loop.schedule(self._delay_for(packet, sender.name),
                            lambda: receiver.receive(packet))
-
-    # -- round-synchronous batch path (DESIGN.md §9) ---------------------------
-
-    def _batch_delay(self, batch, sender_name: str) -> float:
-        """Delivery delay for a whole batch: the batch serializes as a
-        unit and draws at most one jitter sample, so a constant-rate
-        round costs O(1) rng draws and O(1) heap events per link."""
-        delay = self.one_way_delay
-        if self.bandwidth_bps is not None:
-            serialization = batch.total_bytes() / self.bandwidth_bps
-            if self.fifo:
-                start = max(self.loop.now,
-                            self._tx_free_at[sender_name])
-                finish = start + serialization
-                self._tx_free_at[sender_name] = finish
-                delay += finish - self.loop.now
-            else:
-                delay += serialization
-        if self.jitter_std > 0:
-            delay += abs(self.loop.rng.gauss(0.0, self.jitter_std))
-        return delay
-
-    def transmit_batch(self, sender, batch,
-                       inline: Optional[bool] = None) -> None:
-        """Send one round's cell vector from ``sender`` to the other
-        endpoint as a single transmission.
-
-        Observers defining ``record_batch`` see the vector directly
-        (O(1) calls per round); others fall back to per-cell
-        ``record`` with lightweight views, so the adversary's
-        observation stream is identical to the per-packet engine's.
-        Loss draws happen per cell, in emission order — the same rng
-        consumption as per-packet transmission.
-
-        ``inline``: deliver synchronously when the total delay is zero
-        (the default), skipping the heap entirely — the delivery
-        timestamp is unchanged, only the event is saved.  Pass
-        ``inline=False`` to force a scheduled delivery event.
-        """
-        if not len(batch):
-            return
-        receiver = self.other(sender)
-        stats = self.stats[sender.name]
-        prof = self.prof
-        if prof is not None:
-            prof.begin("adversary-observe")
-        for obs in self._observers:
-            record_batch = getattr(obs, "record_batch", None)
-            if record_batch is not None:
-                record_batch(self.loop.now, batch, sender.name,
-                             receiver.name)
-            else:
-                for cell in batch.cells():
-                    obs.record(self.loop.now, cell, sender.name,
-                               receiver.name)
-        if prof is not None:
-            prof.end(cells=len(batch))
-        delivered = batch
-        if self.loss_rate > 0:
-            from repro.netsim.rounds import CellBatch, CellView
-            rng = self.loop.rng
-            delivered = CellBatch(batch.src, batch.dst,
-                                  batch.round_index)
-            n_dropped = 0
-            for payload, size, kind, circuit_id in zip(
-                    batch.payloads, batch.sizes, batch.kinds,
-                    batch.circuit_ids):
-                if rng.random() < self.loss_rate:
-                    n_dropped += 1
-                    for obs in self._observers:
-                        record_drop = getattr(obs, "record_drop", None)
-                        if record_drop is not None:
-                            record_drop(
-                                self.loop.now,
-                                CellView(payload, size, kind,
-                                         circuit_id, sender.name,
-                                         receiver.name),
-                                sender.name, receiver.name)
-                else:
-                    delivered.append(payload, kind=kind,
-                                     circuit_id=circuit_id)
-            stats.dropped += n_dropped
-            if not len(delivered):
-                return
-        stats.packets += len(delivered)
-        stats.bytes += delivered.total_bytes()
-        delay = self._batch_delay(delivered, sender.name)
-        if delay == 0.0 and (inline or inline is None):
-            receiver.receive_batch(delivered)
-        else:
-            self.loop.schedule(
-                delay, lambda: receiver.receive_batch(delivered))
-
-    def transmit_vector(self, sender, vector,
-                        inline: Optional[bool] = None) -> None:
-        """Send one round's *aggregate* wire image — a
-        :class:`~repro.netsim.rounds.CellVector` of run-length
-        (size, count) pairs — from ``sender`` to the other endpoint.
-
-        The vectorized path of the ``batch-v2`` plane: observer
-        fan-out goes through :func:`~repro.netsim.taps.offer_runs`
-        (``record_runs`` when the tap has it, per-cell expansion in
-        emission order otherwise) and stats update with one add per
-        run, so a constant-rate round costs O(runs) instead of
-        O(cells).  Lossy links cannot be expressed aggregately —
-        which cells drop is a per-cell draw — so they expand once and
-        take :meth:`transmit_batch`, consuming rng identically."""
-        if not len(vector):
-            return
-        if self.loss_rate > 0:
-            self.transmit_batch(sender, vector.to_batch(),
-                                inline=inline)
-            return
-        receiver = self.other(sender)
-        stats = self.stats[sender.name]
-        prof = self.prof
-        if prof is not None:
-            prof.begin("adversary-observe")
-        sizes, counts = vector.size_runs()
-        for obs in self._observers:
-            offer_runs(obs, self.loop.now, sender.name, receiver.name,
-                       sizes, counts)
-        if prof is not None:
-            prof.end(cells=len(vector))
-        stats.packets += len(vector)
-        stats.bytes += vector.total_bytes()
-        delay = self._batch_delay(vector, sender.name)
-        if delay == 0.0 and (inline or inline is None):
-            receiver.receive_batch(vector)
-        else:
-            self.loop.schedule(
-                delay, lambda: receiver.receive_batch(vector))
 
     def utilization_bps(self, direction_from: str, window: float,
                         now: Optional[float] = None) -> float:

@@ -52,27 +52,18 @@ class LinkObserver:
         self.observations.append(
             Observation(time=time, size=packet.size, src=src, dst=dst))
 
-    def record_batch(self, time: float, batch, src: str,
-                     dst: str) -> None:
-        """Called by :meth:`~repro.netsim.link.Link.transmit_batch`
-        with a whole round's cell vector.  One sighting is stored per
-        cell, in emission order — byte-identical to what per-packet
-        transmission of the same cells would have recorded (the
-        observational-equivalence contract, DESIGN.md §9)."""
-        append = self.observations.append
-        for size in batch.sizes:
-            append(Observation(time=time, size=size, src=src, dst=dst))
-
-    def record_runs(self, time: float, src: str, dst: str,
-                    sizes, counts) -> None:
-        """Called by the vectorized wire plane (``batch-v2``) with one
-        (link, round) aggregate image: parallel run-length arrays.
-        The adversary stores per-cell sightings, so runs expand here —
-        ``counts[i]`` identical sightings per run, in emission order,
-        byte-identical to the per-cell engines' streams (the
-        observational-equivalence contract, DESIGN.md §9/§13)."""
+    def record_round_runs(self, time: float, keys, sizes,
+                          counts) -> None:
+        """Called once per round by the run-table wire planes
+        (``batch-v2``, its shards, ``asyncio``) with parallel arrays:
+        row ``i`` is ``counts[i]`` wire-identical cells of
+        ``sizes[i]`` bytes on the directed link ``keys[i]``.  The
+        adversary stores per-cell sightings, so rows expand here, in
+        row order — byte-identical to the per-cell ``event`` plane's
+        stream (the observational-equivalence contract, DESIGN.md
+        §9/§13)."""
         observations = self.observations
-        for size, count in zip(sizes, counts):
+        for (src, dst), size, count in zip(keys, sizes, counts):
             observations.extend(
                 [Observation(time=time, size=size, src=src, dst=dst)]
                 * count)

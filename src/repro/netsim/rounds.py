@@ -1,342 +1,23 @@
-"""Round-synchronous batch execution: cell vectors instead of events.
+"""The round clock of the vectorized wire plane.
 
 Herd's data plane is intrinsically round-based (§3.4, §3.6): clients,
 SPs, and mixes emit cells at a constant rate every codec-frame round,
 so a per-cell discrete-event schedule — one heap event plus one
 :class:`~repro.netsim.packet.Packet` per cell — burns O(cells) Python
-objects for a schedule that is a pure function of the clock.  This
-module provides the batched alternative:
-
-* :class:`CellBatch` — a struct-of-arrays carrier for one round's cells
-  on one directed link: parallel ``sizes`` / ``kinds`` / ``circuit_ids``
-  / ``payloads`` lists, no per-cell objects.  Payload entries are
-  *references* to the ciphertext bytes, never copies.
-* :class:`RoundScheduler` — a round clock over the
-  :class:`~repro.netsim.engine.EventLoop`: one heap event per round,
-  firing registered handlers in order, instead of one event per cell.
-
-Links accept a whole batch via :meth:`~repro.netsim.link.Link
-.transmit_batch`; observers that implement ``record_batch`` see the
-vector directly, and the adversary :class:`~repro.netsim.observer
-.LinkObserver` records exactly the same (time, size, src, dst) stream
-it would have recorded per packet — constant-rate emission means the
-wire image is a function of the clock, not of the execution engine
-(the observational-equivalence contract, DESIGN.md §9).
-
-The per-packet API remains the compatible path: :class:`CellBatch
-.packets` and :meth:`CellBatch.from_packets` adapt in both directions.
-
-:class:`CellVector` is the second-generation carrier (the ``batch-v2``
-execution plane, DESIGN.md §13): run-length struct-of-arrays with
-*aggregate chaff accounting* — a run of n wire-identical chaff cells
-costs one row of the parallel arrays, not n entries, so the per-(SP,
-round) cost is O(distinct runs) instead of O(cells).  Sizes and counts
-live in numeric arrays (:mod:`numpy` when available, :class:`array
-.array` otherwise) and the aggregate totals are maintained with one
-arithmetic op per appended run.
+objects for a schedule that is a pure function of the clock.
+:class:`RoundScheduler` puts *one* event per round on the
+:class:`~repro.netsim.engine.EventLoop` heap instead; inside it the
+``batch-v2`` wire plane offers the whole round to every tap as one
+flat run table (:mod:`repro.simulation.roundsync`,
+:func:`repro.netsim.taps.offer_round_runs`).  The per-cell
+:meth:`~repro.netsim.link.Link.transmit` path stays as the ``event``
+plane's reference oracle; a tap records byte-identical streams under
+both (the observational-equivalence contract, DESIGN.md §9).
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterator, List, Optional, Sequence, Tuple
-
-from repro.netsim.packet import IP_UDP_HEADER_BYTES, Packet
-
-try:  # pragma: no cover - exercised only where numpy is installed
-    import numpy as _np
-except ImportError:  # the container path: pure-stdlib fallback
-    _np = None
-
-
-class CellView:
-    """A lightweight read-only view of one cell inside a
-    :class:`CellBatch` — duck-compatible with the fields per-packet
-    observers read (``size``, ``kind``, ``circuit_id``, ``payload``)
-    without materializing a :class:`~repro.netsim.packet.Packet`."""
-
-    __slots__ = ("payload", "size", "kind", "circuit_id", "src", "dst")
-
-    def __init__(self, payload: bytes, size: int, kind: str,
-                 circuit_id: Optional[int], src: str, dst: str):
-        self.payload = payload
-        self.size = size
-        self.kind = kind
-        self.circuit_id = circuit_id
-        self.src = src
-        self.dst = dst
-
-    def __repr__(self) -> str:
-        return (f"CellView({self.src}->{self.dst} {self.kind} "
-                f"{self.size}B)")
-
-
-class CellBatch:
-    """One round's cells on one directed link, struct-of-arrays.
-
-    Parameters
-    ----------
-    src, dst:
-        The directed link the batch rides (endpoint names).
-    round_index:
-        The data-plane round the batch belongs to (-1 if unknown).
-
-    The parallel lists ``sizes`` (on-the-wire bytes, payload plus
-    IP/UDP headers), ``kinds`` (instrumentation labels, invisible to
-    the adversary model), ``circuit_ids``, and ``payloads`` (references
-    to the ciphertext) hold one entry per cell, in emission order —
-    the order a per-packet engine would have transmitted them.
-    """
-
-    __slots__ = ("src", "dst", "round_index", "sizes", "kinds",
-                 "circuit_ids", "payloads")
-
-    def __init__(self, src: str, dst: str, round_index: int = -1):
-        self.src = src
-        self.dst = dst
-        self.round_index = round_index
-        self.sizes: List[int] = []
-        self.kinds: List[str] = []
-        self.circuit_ids: List[Optional[int]] = []
-        self.payloads: List[bytes] = []
-
-    def append(self, payload: bytes, kind: str = "data",
-               circuit_id: Optional[int] = None) -> None:
-        """Add one cell (payload by reference)."""
-        self.sizes.append(len(payload) + IP_UDP_HEADER_BYTES)
-        self.kinds.append(kind)
-        self.circuit_ids.append(circuit_id)
-        self.payloads.append(payload)
-
-    def append_repeated(self, payload: bytes, n: int,
-                        kind: str = "chaff",
-                        circuit_id: Optional[int] = None) -> None:
-        """Add ``n`` identical cells sharing one payload reference —
-        the chaff-fill case: n wire-identical cells, one buffer."""
-        if n < 0:
-            raise ValueError("cannot append a negative cell count")
-        size = len(payload) + IP_UDP_HEADER_BYTES
-        self.sizes.extend([size] * n)
-        self.kinds.extend([kind] * n)
-        self.circuit_ids.extend([circuit_id] * n)
-        self.payloads.extend([payload] * n)
-
-    def __len__(self) -> int:
-        return len(self.sizes)
-
-    def total_bytes(self) -> int:
-        """On-the-wire bytes of the whole batch."""
-        return sum(self.sizes)
-
-    def cells(self) -> Iterator[CellView]:
-        """Iterate the batch as lightweight per-cell views (the
-        fallback for observers without ``record_batch``)."""
-        for payload, size, kind, circuit_id in zip(
-                self.payloads, self.sizes, self.kinds,
-                self.circuit_ids):
-            yield CellView(payload, size, kind, circuit_id,
-                           self.src, self.dst)
-
-    # -- per-packet adapters ---------------------------------------------------
-
-    def packets(self, loop=None) -> List[Packet]:
-        """Materialize the batch as per-packet objects (the thin
-        adapter for legacy per-packet receivers).  Packet ids are
-        stamped from ``loop`` when given, so ids stay loop-local and
-        deterministic."""
-        out = []
-        for payload, kind, circuit_id in zip(self.payloads, self.kinds,
-                                             self.circuit_ids):
-            packet = Packet(payload, self.src, self.dst, kind=kind,
-                            circuit_id=circuit_id)
-            if loop is not None:
-                packet.packet_id = loop.next_packet_id()
-            out.append(packet)
-        return out
-
-    @classmethod
-    def from_packets(cls, packets: Sequence[Packet], src: str,
-                     dst: str, round_index: int = -1) -> "CellBatch":
-        """Wrap per-packet objects into a batch (payloads by ref)."""
-        batch = cls(src, dst, round_index)
-        for packet in packets:
-            batch.append(packet.payload, kind=packet.kind,
-                         circuit_id=packet.circuit_id)
-        return batch
-
-    def __repr__(self) -> str:
-        return (f"CellBatch({self.src}->{self.dst} r{self.round_index} "
-                f"{len(self)} cells, {self.total_bytes()}B)")
-
-
-class CellVector:
-    """One round's cells on one directed link, run-length encoded.
-
-    The ``batch-v2`` carrier: where :class:`CellBatch` stores one list
-    entry per cell, a CellVector stores one *run* per maximal group of
-    wire-identical cells — ``(payload, kind, circuit_id, size, count)``
-    — with sizes and counts in parallel numeric arrays (struct of
-    arrays; numpy when installed, :class:`array.array` of int64
-    otherwise).  Herd's constant-rate chaffed channels make this the
-    natural wire representation: the fill of an SP↔mix trunk is n
-    wire-identical cells per round, which is exactly one run, so the
-    per-(SP, round) accounting is one arithmetic op regardless of how
-    many clients the trunk serves (aggregate chaff accounting).
-
-    Aggregate totals (:attr:`cell_count`, :attr:`byte_count`) are
-    maintained incrementally; :meth:`cells` and :meth:`to_batch`
-    expand to per-cell form for consumers that need it, preserving
-    emission order exactly (the observational-equivalence contract).
-    """
-
-    __slots__ = ("src", "dst", "round_index", "payloads", "kinds",
-                 "circuit_ids", "_sizes", "_counts", "cell_count",
-                 "byte_count")
-
-    def __init__(self, src: str, dst: str, round_index: int = -1):
-        self.src = src
-        self.dst = dst
-        self.round_index = round_index
-        #: One entry per run (references, never copies).
-        self.payloads: List[bytes] = []
-        self.kinds: List[str] = []
-        self.circuit_ids: List[Optional[int]] = []
-        self._sizes = array("q")
-        self._counts = array("q")
-        #: Aggregate totals, maintained with one add/multiply per run.
-        self.cell_count = 0
-        self.byte_count = 0
-
-    # -- construction ----------------------------------------------------------
-
-    def append_run(self, payload: bytes, count: int = 1,
-                   kind: str = "data",
-                   circuit_id: Optional[int] = None) -> None:
-        """Add a run of ``count`` wire-identical cells sharing one
-        payload reference.  O(1) regardless of ``count``."""
-        if count < 0:
-            raise ValueError("cannot append a negative cell count")
-        if count == 0:
-            return
-        size = len(payload) + IP_UDP_HEADER_BYTES
-        self.payloads.append(payload)
-        self.kinds.append(kind)
-        self.circuit_ids.append(circuit_id)
-        self._sizes.append(size)
-        self._counts.append(count)
-        self.cell_count += count
-        self.byte_count += size * count
-
-    def append(self, payload: bytes, kind: str = "data",
-               circuit_id: Optional[int] = None) -> None:
-        """Add one cell (a run of one) — CellBatch-compatible."""
-        self.append_run(payload, 1, kind=kind, circuit_id=circuit_id)
-
-    def append_repeated(self, payload: bytes, n: int,
-                        kind: str = "chaff",
-                        circuit_id: Optional[int] = None) -> None:
-        """CellBatch-compatible alias of :meth:`append_run`."""
-        if n < 0:
-            raise ValueError("cannot append a negative cell count")
-        self.append_run(payload, n, kind=kind, circuit_id=circuit_id)
-
-    # -- aggregate views -------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self.cell_count
-
-    @property
-    def n_runs(self) -> int:
-        return len(self._counts)
-
-    def total_bytes(self) -> int:
-        """On-the-wire bytes of the whole vector (O(1): the total is
-        maintained at append time)."""
-        return self.byte_count
-
-    def size_runs(self) -> Tuple[Sequence[int], Sequence[int]]:
-        """The (sizes, counts) parallel arrays — the wire image as an
-        aggregate.  Always the int64 :class:`array.array` buffers,
-        whose elements are exact Python ints: this is the tap
-        boundary, and observation streams must stay byte-identical to
-        the per-cell engines' (``numpy.int64`` leaking into an
-        :class:`~repro.netsim.observer.Observation` would break the
-        pinned digests).  Numeric bulk work uses
-        :meth:`size_runs_np`."""
-        return self._sizes, self._counts
-
-    def size_runs_np(self):
-        """Zero-copy numpy int64 views of (sizes, counts) for bulk
-        arithmetic, or ``None`` when numpy is not installed (the
-        container path) — callers fall back to :meth:`size_runs`."""
-        if _np is None:
-            return None
-        return (_np.frombuffer(self._sizes, dtype=_np.int64),
-                _np.frombuffer(self._counts, dtype=_np.int64))
-
-    def runs(self) -> Iterator[Tuple[bytes, str, Optional[int], int,
-                                     int]]:
-        """Iterate (payload, kind, circuit_id, size, count) runs in
-        emission order."""
-        return zip(self.payloads, self.kinds, self.circuit_ids,
-                   self._sizes, self._counts)
-
-    # -- per-cell expansion ----------------------------------------------------
-
-    def expanded_sizes(self) -> Sequence[int]:
-        """Per-cell sizes in emission order (``numpy.repeat`` when
-        available) — the expansion a per-cell observer records."""
-        if _np is not None:
-            sizes, counts = self.size_runs_np()
-            return _np.repeat(sizes, counts)
-        out = array("q")
-        for size, count in zip(self._sizes, self._counts):
-            if count == 1:
-                out.append(size)
-            else:
-                out.extend(array("q", [size]) * count)
-        return out
-
-    def cells(self) -> Iterator[CellView]:
-        """Per-cell views in emission order (the compatibility path
-        for per-cell consumers)."""
-        for payload, kind, circuit_id, size, count in self.runs():
-            for _ in range(count):
-                yield CellView(payload, size, kind, circuit_id,
-                               self.src, self.dst)
-
-    def to_batch(self) -> CellBatch:
-        """Expand into a per-cell :class:`CellBatch` (emission order
-        preserved)."""
-        batch = CellBatch(self.src, self.dst, self.round_index)
-        for payload, kind, circuit_id, _, count in self.runs():
-            if count == 1:
-                batch.append(payload, kind=kind, circuit_id=circuit_id)
-            else:
-                batch.append_repeated(payload, count, kind=kind,
-                                      circuit_id=circuit_id)
-        return batch
-
-    @classmethod
-    def from_batch(cls, batch: CellBatch) -> "CellVector":
-        """Wrap a per-cell batch (each cell becomes a run of one; no
-        re-compression is attempted — order is what matters)."""
-        vector = cls(batch.src, batch.dst, batch.round_index)
-        for payload, kind, circuit_id in zip(batch.payloads,
-                                             batch.kinds,
-                                             batch.circuit_ids):
-            vector.append_run(payload, 1, kind=kind,
-                              circuit_id=circuit_id)
-        return vector
-
-    def packets(self, loop=None) -> List[Packet]:
-        """Materialize as per-packet objects (via the batch adapter)."""
-        return self.to_batch().packets(loop)
-
-    def __repr__(self) -> str:
-        return (f"CellVector({self.src}->{self.dst} "
-                f"r{self.round_index} {self.cell_count} cells in "
-                f"{self.n_runs} runs, {self.byte_count}B)")
+from typing import Optional
 
 
 class RoundScheduler:
@@ -344,10 +25,8 @@ class RoundScheduler:
 
     Registered handlers fire in registration order inside a single
     loop event at ``start + round_index * interval``; everything a
-    round emits (whole :class:`CellBatch` vectors through
-    :meth:`~repro.netsim.link.Link.transmit_batch`) happens inside
-    that one event, so the heap holds O(rounds) entries instead of
-    O(cells).
+    round emits happens inside that one event, so the heap holds
+    O(rounds) entries instead of O(cells).
 
     The scheduler supports two driving styles:
 

@@ -22,11 +22,12 @@ The design that guarantees this:
   (cells/bytes per segment and per link) and never touch shared
   state;
 * the merge step (:func:`merge_results`) **sorts segments by slot
-  key** before replaying them into the taps, so any interleaving of
-  shard results — process pool scheduling, out-of-order completion,
-  even a shuffled result list — produces the same tap state and the
-  same determinism key (pinned by a hypothesis property in
-  ``tests/test_shards.py``).
+  key** and offers each round to the taps as one run table (the
+  ``record_round_runs`` call the unsharded plane makes), so any
+  interleaving of shard results — process pool scheduling,
+  out-of-order completion, even a shuffled result list — produces
+  the same tap calls and the same determinism key (pinned by a
+  hypothesis property in ``tests/test_shards.py``).
 
 Everything that crosses the process boundary is a frozen dataclass of
 picklable fields, declared :func:`~repro.core.sharding.shard_crossing`
@@ -36,6 +37,7 @@ so herdlint HL104 statically rejects unpicklable additions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from zlib import crc32
 
@@ -209,19 +211,20 @@ def merge_results(results: Iterable[ShardResult], *,
 
     Orders every segment by its global slot key ``(round_index,
     slot)`` — which is a total order by construction, independent of
-    shard assignment and arrival interleaving — then replays the
-    ordered stream into ``taps`` (via :func:`repro.netsim.taps
-    .offer_runs`, so each tap consumes at its richest capability).
+    shard assignment and arrival interleaving — then offers each
+    round to ``taps`` as one link-contiguous run table through
+    :func:`repro.netsim.taps.offer_round_runs`: the same call, with
+    the same rows, that the unsharded plane makes at flush time.
     Returns the merged aggregate accounting::
 
         {"cells": int, "bytes": int, "segments": int,
          "link_stats": {(src, dst): (cells, bytes)}}
 
-    Any permutation of ``results`` yields byte-identical tap state
+    Any permutation of ``results`` yields byte-identical tap calls
     and accounting (the shard-merge determinism contract; pinned by
     hypothesis in ``tests/test_shards.py``).
     """
-    from repro.netsim.taps import offer_runs
+    from repro.netsim.taps import offer_round_runs
 
     ordered: List[SegmentResult] = []
     link_stats: Dict[Tuple[str, str], List[int]] = {}
@@ -237,11 +240,20 @@ def merge_results(results: Iterable[ShardResult], *,
         total_bytes += result.bytes
     ordered.sort(key=lambda r: (r.segment.round_index,
                                 r.segment.slot))
-    for seg_result in ordered:
-        segment = seg_result.segment
+    for _, group in groupby((r.segment for r in ordered),
+                            key=lambda segment: segment.round_index):
+        keys: List[Tuple[str, str]] = []
+        sizes: List[int] = []
+        counts: List[int] = []
+        time = 0.0
+        for segment in group:
+            time = segment.time
+            keys.extend([(segment.src, segment.dst)]
+                        * len(segment.sizes))
+            sizes.extend(segment.sizes)
+            counts.extend(segment.counts)
         for tap in taps:
-            offer_runs(tap, segment.time, segment.src, segment.dst,
-                       segment.sizes, segment.counts)
+            offer_round_runs(tap, time, keys, sizes, counts)
     return {
         "cells": total_cells,
         "bytes": total_bytes,

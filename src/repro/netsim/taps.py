@@ -1,64 +1,51 @@
 """The public wire-tap protocol: how observers consume the wire plane.
 
-Herd's adversary model is a passive tap on every link.  Historically
-the tap interface was an undocumented internal of ``LiveZone`` /
-:class:`~repro.netsim.link.Link` — consumers (the attack suite, the
-bench tally, the metrics LinkTap) each duck-typed against whatever the
-engine of the day called.  This module makes the contract a documented
-public protocol so external consumers (e.g. the ML-adversary suite,
-ROADMAP item 2) can subscribe to batch observations without touching
-private state.
+Herd's adversary model is a passive tap on every link.  This module
+makes the contract a documented public protocol, so consumers (the
+attack suite, the bench tally, herdscope's metrics ``LinkTap``) can
+subscribe to the wire image without touching private engine state.
 
-A tap implements some prefix of three capability levels; every wire
-plane (event, batch, batch-v2) dispatches to the *richest* method the
-tap provides, so a tap trades fidelity for cost explicitly:
+A tap has two capability tiers:
 
 * ``record(time, cell, src, dst)`` — REQUIRED.  One call per cell;
-  ``cell`` exposes at least ``size`` (wire-visible bytes).  The only
-  level that sees cells individually.
-* ``record_batch(time, batch, src, dst)`` — OPTIONAL.  One call per
-  (link, round) with the whole per-cell vector (``batch.sizes`` in
-  emission order).  O(1) calls, O(cells) data.
-* ``record_runs(time, src, dst, sizes, counts)`` — OPTIONAL.  One
-  call per (link, round) with the *aggregate* wire image: parallel
-  run-length arrays (``counts[i]`` wire-identical cells of
-  ``sizes[i]`` bytes, runs in emission order).  O(1) calls, O(runs)
-  data — the level the vectorized ``batch-v2`` plane feeds, and the
-  only per-link level that stays cheap at million-client scale.
+  ``cell`` exposes at least ``size`` (wire-visible bytes).  The
+  ``event`` plane's links call it for every transmission attempt.
 * ``record_round_runs(time, keys, sizes, counts)`` — OPTIONAL.  One
   call per *round* with the whole round's run table: parallel arrays
   where row ``i`` is a run of ``counts[i]`` wire-identical cells of
   ``sizes[i]`` bytes on the directed link ``keys[i] = (src, dst)``.
-  Rows are grouped per link in first-emission order (exactly the
-  per-link order ``record_runs`` would have seen).  An aggregate tap
-  can reduce the table at C speed (``sum(counts)``); this is what
-  keeps the ``batch-v2`` hot loop O(runs) with a small constant.
-* ``record_drop(time, cell, src, dst)`` — OPTIONAL extension for
-  *non-adversary* instrumentation (a real wire tap cannot tell a
-  dropped cell from a delivered one, so the adversary tap must not
-  implement it).
+  Rows are link-contiguous (all of a link's runs adjacent, links in
+  first-emission order, runs in emission order).  This is what the
+  ``batch-v2`` plane, its shards and the ``asyncio`` plane feed; an
+  aggregate tap can reduce the table at C speed (``sum(counts)``).
+
+Plus one extension for *non-adversary* instrumentation:
+``record_drop(time, cell, src, dst)`` is called by lossy links for
+cells that were offered but lost (a real wire tap cannot tell a
+dropped cell from a delivered one, so the adversary tap must not
+implement it).
 
 Because constant-rate emission makes the wire image a pure function of
-the clock (invariant I6), the levels describe the *same* stream at
-different aggregation — :func:`offer_runs` / :func:`offer_batch` /
-:func:`offer_round_runs` guarantee every tap sees byte-identical
-information regardless of which engine produced it (DESIGN.md §9,
-§13).
+the clock (invariant I6), the two tiers describe the *same* stream at
+different aggregation.  :func:`offer_round_runs` is the one adapter
+between them: it hands a round table to ``record_round_runs`` when the
+tap has it and expands it to per-cell ``record`` calls otherwise, so
+every tap sees byte-identical information whichever plane produced it
+(DESIGN.md §9, §13).
 
 :class:`~repro.netsim.observer.LinkObserver` (re-exported here) is the
-reference per-cell adversary tap; :class:`TallyTap` is the reference
-aggregate tap.
+reference adversary tap; :class:`TallyTap` is the reference aggregate
+tap.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.netsim.observer import LinkObserver, Observation
-from repro.netsim.rounds import CellView
 
 __all__ = ["LinkObserver", "Observation", "TallyTap", "KindlessCell",
-           "offer_batch", "offer_runs", "offer_round_runs"]
+           "offer_round_runs"]
 
 
 class KindlessCell:
@@ -76,8 +63,8 @@ class KindlessCell:
 
 class TallyTap:
     """The reference aggregate tap: global cell/byte totals with O(1)
-    work per (link, round) under every engine.  Subclass and extend
-    for richer aggregates (per-link histograms, windowed rates)."""
+    calls per round on every plane.  Subclass and extend for richer
+    aggregates (per-link histograms, windowed rates)."""
 
     def __init__(self):
         self.cells = 0
@@ -87,22 +74,6 @@ class TallyTap:
         self.cells += 1
         self.bytes += cell.size
 
-    def record_batch(self, time: float, batch, src: str,
-                     dst: str) -> None:
-        self.cells += len(batch)
-        self.bytes += batch.total_bytes()
-
-    def record_runs(self, time: float, src: str, dst: str,
-                    sizes: Sequence[int],
-                    counts: Sequence[int]) -> None:
-        total_cells = 0
-        total_bytes = 0
-        for size, count in zip(sizes, counts):
-            total_cells += count
-            total_bytes += size * count
-        self.cells += total_cells
-        self.bytes += total_bytes
-
     def record_round_runs(self, time: float,
                           keys: Sequence[Tuple[str, str]],
                           sizes: Sequence[int],
@@ -111,71 +82,23 @@ class TallyTap:
         self.bytes += sum(s * c for s, c in zip(sizes, counts))
 
 
-def offer_batch(tap, time: float, batch, src: str, dst: str) -> None:
-    """Offer one (link, round) batch to a tap at its richest
-    capability: ``record_batch`` when present, per-cell ``record``
-    otherwise.  ``batch`` may be a :class:`~repro.netsim.rounds
-    .CellBatch` or :class:`~repro.netsim.rounds.CellVector` (both
-    provide ``cells()``)."""
-    record_batch = getattr(tap, "record_batch", None)
-    if record_batch is not None:
-        record_batch(time, batch, src, dst)
-        return
-    for cell in batch.cells():
-        tap.record(time, cell, src, dst)
-
-
-def offer_runs(tap, time: float, src: str, dst: str,
-               sizes: Sequence[int], counts: Sequence[int],
-               kinds: Optional[Sequence[str]] = None) -> None:
-    """Offer one (link, round) aggregate wire image to a tap at its
-    richest capability.
-
-    Preference order: ``record_runs`` (O(runs)); else per-cell
-    ``record`` with :class:`KindlessCell` views, expanding runs in
-    emission order — byte-identical to what a per-cell engine would
-    have offered."""
-    record_runs = getattr(tap, "record_runs", None)
-    if record_runs is not None:
-        record_runs(time, src, dst, sizes, counts)
-        return
-    record = tap.record
-    for size, count in zip(sizes, counts):
-        cell = KindlessCell(size, src, dst)
-        for _ in range(count):
-            record(time, cell, src, dst)
-
-
 def offer_round_runs(tap, time: float,
                      keys: Sequence[Tuple[str, str]],
                      sizes: Sequence[int],
                      counts: Sequence[int]) -> None:
-    """Offer one *round's* run table to a tap at its richest
-    capability.
+    """Offer one round's run table to a tap.
 
-    Preference order: ``record_round_runs`` (one call, O(runs) data);
-    else the table is regrouped per directed link — all of a link's
-    runs contiguous, links in first-emission order, exactly the
-    grouping the per-link engines produce — and offered through
-    :func:`offer_runs` (which itself falls back to per-cell
-    ``record``).  Rows in ``keys``/``sizes``/``counts`` must already
-    be link-contiguous in that order."""
+    A tap with ``record_round_runs`` gets the table in one call; any
+    other tap gets one ``record`` per cell with :class:`KindlessCell`
+    views, rows expanded in order — byte-identical to what the
+    per-cell ``event`` plane offers, because rows are link-contiguous
+    in emission order."""
     record_round_runs = getattr(tap, "record_round_runs", None)
     if record_round_runs is not None:
         record_round_runs(time, keys, sizes, counts)
         return
-    grouped: "dict" = {}
-    for key, size, count in zip(keys, sizes, counts):
-        entry = grouped.get(key)
-        if entry is None:
-            grouped[key] = ([size], [count])
-        else:
-            entry[0].append(size)
-            entry[1].append(count)
-    for (src, dst), (link_sizes, link_counts) in grouped.items():
-        offer_runs(tap, time, src, dst, link_sizes, link_counts)
-
-
-# Re-exported for the protocol docstring above; CellView is the
-# per-cell view type batch engines hand to ``record``.
-_ = CellView
+    record = tap.record
+    for (src, dst), size, count in zip(keys, sizes, counts):
+        cell = KindlessCell(size, src, dst)
+        for _ in range(count):
+            record(time, cell, src, dst)

@@ -31,7 +31,7 @@ protocol modules never import this package.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import JsonlTraceSink, RingBufferTraceSink, Span, \
@@ -79,24 +79,30 @@ class LoopHook:
 
 
 class LinkTap:
-    """A metrics observer for :class:`~repro.netsim.link.Link`.
+    """A metrics observer for the wire plane (:mod:`repro.netsim
+    .taps`).
 
-    Implements the standard observer ``record`` (every transmission
-    attempt) plus the optional ``record_drop`` extension the link calls
-    for lost packets; delivered = offered - dropped.
+    Implements both tap tiers — per-cell ``record`` (the ``event``
+    plane's links) and per-round ``record_round_runs`` (the run-table
+    planes) — plus the ``record_drop`` extension lossy links call for
+    lost packets; delivered = offered - dropped.
     """
 
     def __init__(self, registry: MetricsRegistry):
         self.registry = registry
 
-    def record(self, time: float, packet, src: str, dst: str) -> None:
+    def _add(self, src: str, dst: str, packets: int,
+             n_bytes: int) -> None:
         labels = {"link": f"{src}->{dst}"}
         self.registry.counter(
             "herd_link_packets_total", labels,
-            help="packets offered per directed link").inc()
+            help="packets offered per directed link").add(packets)
         self.registry.counter(
             "herd_link_bytes_total", labels,
-            help="bytes offered per directed link").inc(packet.size)
+            help="bytes offered per directed link").add(n_bytes)
+
+    def record(self, time: float, packet, src: str, dst: str) -> None:
+        self._add(src, dst, 1, packet.size)
 
     def record_drop(self, time: float, packet, src: str,
                     dst: str) -> None:
@@ -104,19 +110,21 @@ class LinkTap:
             "herd_link_dropped_total", {"link": f"{src}->{dst}"},
             help="packets dropped per directed link").inc()
 
-    def record_batch(self, time: float, batch, src: str,
-                     dst: str) -> None:
-        """Batch recording: O(1) bulk counter updates per round
+    def record_round_runs(self, time: float, keys, sizes,
+                          counts) -> None:
+        """One round's run table: O(1) bulk counter updates per link
         instead of O(cells) — values and ``updated_at`` stamps match
-        the per-cell path exactly (integer float sums are exact)."""
-        labels = {"link": f"{src}->{dst}"}
-        self.registry.counter(
-            "herd_link_packets_total", labels,
-            help="packets offered per directed link").add(len(batch))
-        self.registry.counter(
-            "herd_link_bytes_total", labels,
-            help="bytes offered per directed link").add(
-                batch.total_bytes())
+        the per-cell path exactly (integer float sums are exact, and
+        rows are link-contiguous, so links are met in the per-cell
+        order)."""
+        totals: Dict[Tuple[str, str], List[int]] = {}
+        for key, size, count in zip(keys, sizes, counts):
+            if count:
+                entry = totals.setdefault(key, [0, 0])
+                entry[0] += count
+                entry[1] += size * count
+        for (src, dst), (packets, n_bytes) in totals.items():
+            self._add(src, dst, packets, n_bytes)
 
 
 class SuperPeerHook:

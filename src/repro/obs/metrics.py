@@ -95,8 +95,8 @@ class Counter(Instrument):
         """Bulk increment: ``add(n)`` is the O(1) equivalent of ``n``
         unit :meth:`inc` calls made at the same virtual time — same
         value (integer float sums are exact below 2**53), same
-        ``updated_at`` — so batch engines keep snapshots byte-identical
-        while paying O(batches) instead of O(cells)."""
+        ``updated_at`` — so run-table taps keep snapshots
+        byte-identical while paying O(runs) instead of O(cells)."""
         self.inc(n)
 
     def series_snapshot(self) -> Dict[str, object]:

@@ -9,13 +9,13 @@ across runs.  This module owns the core loop so the pytest bench, the
 
 * :func:`run_backbone` — the constant-rate zone-backbone loop
   (SP↔mix trunks under :class:`~repro.simulation.roundsync.WireFabric`),
-  on any registered engine (``event`` / ``batch`` / ``batch-v2``,
-  with optional shards), optionally with a
+  on any registered engine (``event`` / ``batch-v2``, with optional
+  shards, or ``asyncio``), optionally with a
   :class:`~repro.obs.prof.profiler.PhaseProfiler` attached;
 * :func:`run_scaling_bench` — the full sweep: every engine over its
   client-count ladder (each engine caps at the count where its cost
   model stops being measurable in reasonable wall time — the event
-  engine at 500 clients, batch at 100k, batch-v2 to 1M), per-phase
+  engine at 500 clients, batch-v2 at 1M), per-phase
   breakdowns from separate profiled runs at the headline count (so
   profiling overhead never pollutes the timed numbers), an
   attached-vs-detached overhead measurement, and a schema-versioned
@@ -24,8 +24,7 @@ across runs.  This module owns the core loop so the pytest bench, the
   carry the same machine fingerprint, absolute cells/sec must hold
   within the tolerance band; across different machines (CI runner vs
   the committed baseline) only the machine-independent engine speedup
-  ratios (batch/event, batch-v2/batch) are gated.  Nonzero findings →
-  nonzero exit.
+  ratio (batch-v2/event) is gated.  Nonzero findings → nonzero exit.
 
 Entries append to a JSONL *trajectory* so the perf history of the
 engines survives across commits (EXPERIMENTS.md).
@@ -35,6 +34,7 @@ from __future__ import annotations
 
 import gc
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -53,12 +53,17 @@ DEFAULT_TOLERANCE = 0.15
 
 WORKLOAD = ("constant-rate zone backbone (SP-mix trunks), "
             "{rounds} rounds, {per_sp} clients/SP")
+#: The entry field of the machine-independent engine ratio (batch-v2
+#: cells/sec over event cells/sec per common ladder point) and its
+#: label in gate messages.
+SPEEDUP_FIELD = "speedup_v2_over_event"
+SPEEDUP_LABEL = "batch-v2/event"
 
 
 class TallyObserver:
     """A global passive adversary that aggregates instead of storing:
-    one update per run when the link offers run-length vectors, one
-    per batch on the batch path, one per cell on the per-packet path."""
+    one update per round on the run-table planes, one per cell on the
+    per-packet path."""
 
     def __init__(self):
         self.cells = 0
@@ -67,15 +72,6 @@ class TallyObserver:
     def record(self, time, packet, src, dst):
         self.cells += 1
         self.bytes += packet.size
-
-    def record_batch(self, time, batch, src, dst):
-        self.cells += len(batch)
-        self.bytes += batch.total_bytes()
-
-    def record_runs(self, time, src, dst, sizes, counts):
-        for size, count in zip(sizes, counts):
-            self.cells += count
-            self.bytes += size * count
 
     def record_round_runs(self, time, keys, sizes, counts):
         self.cells += sum(counts)
@@ -92,9 +88,9 @@ def run_backbone(execution: str, n_clients: int,
 
     The workload (DESIGN.md §9 / benchmarks): every round, each SP
     trunk carries one cell per attached client in each direction —
-    run-length vectors on batch-v2, ``append_repeated`` batches on
-    the batch engine, per-cell packets and heap events on the event
-    engine, and one loopback UDP datagram per cell on the real-network
+    one run-table row per trunk on batch-v2, per-cell packets and
+    heap events on the event engine, and one loopback UDP datagram
+    per cell on the real-network
     ``asyncio`` plane.  ``shards`` fans the vector plane out over
     worker processes; the mandatory ``finalize`` merge is timed as
     part of the run.  The fabric comes from the transport seam
@@ -144,15 +140,13 @@ def run_backbone(execution: str, n_clients: int,
 
 
 #: Engines in the default sweep, slowest cost model first.
-DEFAULT_ENGINES = ("event", "batch", "batch-v2")
+DEFAULT_ENGINES = ("event", "batch-v2")
 #: Largest client count each engine's ladder climbs to.  The event
-#: engine pays two heap events per cell and the batch engine a Python
-#: loop iteration per cell, so their ladders stop where a sweep still
-#: finishes in seconds; the vectorized plane does O(runs) work per
-#: round and goes to a million clients.
+#: engine pays two heap events per cell, so its ladder stops where a
+#: sweep still finishes in seconds; the vectorized plane does O(runs)
+#: work per round and goes to a million clients.
 ENGINE_CAPS: Dict[str, int] = {
     "event": 500,
-    "batch": 100_000,
     "batch-v2": 1_000_000,
     # Real loopback UDP pays one datagram per cell plus a round
     # barrier, so its ladder stops with the event engine's.
@@ -186,15 +180,25 @@ MIN_REPS = 3
 MAX_REPS = 5
 
 
-def _best_run(engine: str, n_clients: int, rounds: int,
-              shards: Optional[int]) -> Dict[str, Any]:
+@contextmanager
+def _gc_paused():
     # Cyclic GC is the dominant noise source at the big ladder points
-    # (a sweep mid-run costs ~40% of the measurement): collect once,
-    # then time with the collector off — the same policy as `timeit`.
+    # (a sweep mid-run costs ~40% of the measurement, and about half
+    # of it at a million clients): collect once, then time with the
+    # collector off — the same policy as `timeit`.
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _best_run(engine: str, n_clients: int, rounds: int,
+              shards: Optional[int]) -> Dict[str, Any]:
+    with _gc_paused():
         best: Optional[Dict[str, Any]] = None
         spent = 0.0
         for rep in range(MAX_REPS):
@@ -207,9 +211,6 @@ def _best_run(engine: str, n_clients: int, rounds: int,
             if rep + 1 >= MIN_REPS and spent >= MIN_POINT_WALL_S:
                 break
         return best
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _ratio_map(num_runs: Sequence[Dict[str, Any]],
@@ -245,7 +246,7 @@ def run_scaling_bench(
     run.  When
     ``with_phases`` is set, one additional *profiled* run per engine
     at its largest ladder point supplies the per-phase breakdown, and
-    the ratio between the profiled and unprofiled batch runs is
+    the ratio between the profiled and unprofiled batch-v2 runs is
     recorded as the attached profiler overhead.
     """
     from repro import execution as execution_registry
@@ -294,46 +295,46 @@ def run_scaling_bench(
         "engine_caps": {e: ENGINE_CAPS[e] for e in engines
                         if e in ENGINE_CAPS},
         "engines": sim_results,
-        "speedup_cells_per_sec": _ratio_map(
-            sim_results.get("batch", ()),
-            sim_results.get("event", ())),
-        "speedup_v2_over_batch": _ratio_map(
+        SPEEDUP_FIELD: _ratio_map(
             sim_results.get("batch-v2", ()),
-            sim_results.get("batch", ())),
+            sim_results.get("event", ())),
     }
     if net_results:
         entry["net_engines"] = net_results
 
     if with_phases and any(results.values()):
         phases: Dict[str, Any] = {}
-        profiled_batch = None
+        profiled_v2 = None
         for engine in engines:
             if not results[engine]:
                 continue
             headline = results[engine][-1]["clients"]
             prof = PhaseProfiler()
-            run = run_backbone(engine, headline,
-                               rounds_for(headline, rounds),
-                               profiler=prof,
-                               shards=shards_for(engine))
+            # The timed sweep's GC policy, so that the overhead ratio
+            # below compares like with like.
+            with _gc_paused():
+                run = run_backbone(engine, headline,
+                                   rounds_for(headline, rounds),
+                                   profiler=prof,
+                                   shards=shards_for(engine))
             phases[engine] = prof.report()
-            if engine == "batch":
-                profiled_batch = run
+            if engine == "batch-v2":
+                profiled_v2 = run
         entry["phases"] = phases
 
-        if profiled_batch is not None:
-            detached = results["batch"][-1]
+        if profiled_v2 is not None:
+            detached = results["batch-v2"][-1]
             overhead_pct = 0.0
-            if profiled_batch["cells_per_sec"]:
+            if profiled_v2["cells_per_sec"]:
                 overhead_pct = 100.0 * max(
                     0.0, detached["cells_per_sec"]
-                    / profiled_batch["cells_per_sec"] - 1.0)
+                    / profiled_v2["cells_per_sec"] - 1.0)
             entry["profiler_overhead"] = {
                 "clients": detached["clients"],
-                "engine": "batch",
+                "engine": "batch-v2",
                 "detached_cells_per_sec": detached["cells_per_sec"],
                 "profiled_cells_per_sec":
-                    profiled_batch["cells_per_sec"],
+                    profiled_v2["cells_per_sec"],
                 "overhead_pct": overhead_pct,
             }
     return entry
@@ -369,9 +370,9 @@ def compare_entries(base: Dict[str, Any], head: Dict[str, Any],
     * same fingerprint (or re-run on one machine): absolute cells/sec
       per engine per client count must not drop more than
       ``tolerance``;
-    * different/unknown fingerprint: only the engine *speedup ratios*
-      (batch/event and batch-v2/batch) are gated — they are a
-      property of the engines, not the host.
+    * different/unknown fingerprint: only the engine *speedup ratio*
+      (batch-v2/event) is gated — it is a property of the engines,
+      not the host.
     """
     findings: List[str] = []
     floor = 1.0 - tolerance
@@ -379,19 +380,17 @@ def compare_entries(base: Dict[str, Any], head: Dict[str, Any],
     base_fp, head_fp = _fingerprint_of(base), _fingerprint_of(head)
     same_machine = (base_fp is not None and base_fp == head_fp)
 
-    for key, label in (("speedup_cells_per_sec", "batch/event"),
-                       ("speedup_v2_over_batch", "batch-v2/batch")):
-        base_speed = base.get(key, {})
-        head_speed = head.get(key, {})
-        for clients in sorted(set(base_speed) & set(head_speed),
-                              key=lambda c: int(c)):
-            b, h = base_speed[clients], head_speed[clients]
-            if b > 0 and h < b * floor:
-                findings.append(
-                    f"{label} speedup ratio at {clients} clients "
-                    f"regressed: {b:.2f}x -> {h:.2f}x "
-                    f"(floor {b * floor:.2f}x at tolerance "
-                    f"{tolerance:.0%})")
+    base_speed = base.get(SPEEDUP_FIELD, {})
+    head_speed = head.get(SPEEDUP_FIELD, {})
+    for clients in sorted(set(base_speed) & set(head_speed),
+                          key=lambda c: int(c)):
+        b, h = base_speed[clients], head_speed[clients]
+        if b > 0 and h < b * floor:
+            findings.append(
+                f"{SPEEDUP_LABEL} speedup ratio at {clients} clients "
+                f"regressed: {b:.2f}x -> {h:.2f}x "
+                f"(floor {b * floor:.2f}x at tolerance "
+                f"{tolerance:.0%})")
 
     if same_machine:
         base_tp, head_tp = _throughputs(base), _throughputs(head)

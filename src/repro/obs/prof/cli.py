@@ -7,7 +7,8 @@
   flamegraph (collapsed stacks) of the headline run.
 * ``compare BASE HEAD`` — the regression gate: nonzero exit when HEAD
   regresses beyond the tolerance band (absolute cells/sec on the same
-  machine fingerprint, speedup ratios across machines).
+  machine fingerprint, the batch-v2/event speedup ratio across
+  machines).
 * ``list``             — one line per trajectory entry.
 
 This is the only layer that stamps wall-clock timestamps (via the
@@ -40,15 +41,16 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     p_run.add_argument("--engine", action="append", dest="engine",
                        default=None,
                        help="engine(s) to sweep (repeatable; "
-                       "default: event batch batch-v2).  Each engine "
+                       "default: event batch-v2).  Each engine "
                        "climbs the client ladder up to its cap.")
     p_run.add_argument("--shards", type=int, default=None,
                        help="worker-process count for shardable "
                        "engines (batch-v2)")
     p_run.add_argument("--min-v2-speedup", type=float, default=None,
                        help="gate: nonzero exit unless batch-v2 beats "
-                       "batch by at least this factor at the largest "
-                       "common client count (CI scaling-smoke)")
+                       "event by at least this factor in cells/sec at "
+                       "the largest common client count (CI "
+                       "scaling-smoke and perf-smoke)")
     p_run.add_argument("--json", default=DEFAULT_JSON,
                        help=f"entry output path (default: "
                        f"{DEFAULT_JSON})")
@@ -56,8 +58,8 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                        help="JSONL history to append to (default: "
                        f"{DEFAULT_TRAJECTORY}; 'none' disables)")
     p_run.add_argument("--flamegraph", default=None,
-                       help="also deep-profile the headline batch run "
-                       "and write collapsed stacks here")
+                       help="also deep-profile the headline batch-v2 "
+                       "run and write collapsed stacks here")
     p_run.add_argument("--self-time", default=None,
                        help="with --flamegraph, also write the top-N "
                        "self-time table here")
@@ -105,13 +107,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"bench entry (schema {prov['schema']}, commit "
           f"{prov['commit'][:12]}, machine "
           f"{prov['machine_fingerprint']}) -> {args.json}")
-    for key, label in (("speedup_cells_per_sec", "batch/event"),
-                       ("speedup_v2_over_batch", "batch-v2/batch")):
-        for n_clients, speedup in sorted(
-                entry.get(key, {}).items(),
-                key=lambda kv: int(kv[0])):
-            print(f"  {n_clients:>8s} clients: {label} speedup "
-                  f"{speedup:.1f}x")
+    for n_clients, speedup in sorted(
+            entry.get(bench.SPEEDUP_FIELD, {}).items(),
+            key=lambda kv: int(kv[0])):
+        print(f"  {n_clients:>8s} clients: {bench.SPEEDUP_LABEL} "
+              f"speedup {speedup:.1f}x")
     for engine, runs in sorted(entry.get("net_engines", {}).items()):
         if runs:
             last = runs[-1]
@@ -134,7 +134,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.flamegraph:
         from repro.obs.prof.deepprof import DeepProfile, \
             write_flamegraph
-        flame_engine = "batch" if "batch" in engines else engines[-1]
+        flame_engine = "batch-v2" if "batch-v2" in engines \
+            else engines[-1]
         cap = bench.ENGINE_CAPS.get(flame_engine)
         eligible = [n for n in clients if cap is None or n <= cap]
         headline = max(eligible) if eligible else min(clients)
@@ -147,19 +148,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"engine, {headline} clients) -> {args.flamegraph}")
 
     if args.min_v2_speedup is not None:
-        v2 = entry.get("speedup_v2_over_batch", {})
+        v2 = entry.get(bench.SPEEDUP_FIELD, {})
+        label = bench.SPEEDUP_LABEL
         if not v2:
             print("GATE FAIL: --min-v2-speedup set but no common "
-                  "batch-v2/batch ladder point was run",
-                  file=sys.stderr)
+                  f"{label} ladder point was run", file=sys.stderr)
             return 1
         at = max(v2, key=lambda c: int(c))
         if v2[at] < args.min_v2_speedup:
-            print(f"GATE FAIL: batch-v2/batch speedup {v2[at]:.1f}x "
+            print(f"GATE FAIL: {label} speedup {v2[at]:.1f}x "
                   f"at {at} clients is below the required "
                   f"{args.min_v2_speedup:.1f}x", file=sys.stderr)
             return 1
-        print(f"  gate ok: batch-v2/batch speedup {v2[at]:.1f}x at "
+        print(f"  gate ok: {label} speedup {v2[at]:.1f}x at "
               f"{at} clients >= {args.min_v2_speedup:.1f}x")
     return 0
 
@@ -196,7 +197,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
         return 0
     for entry in entries:
         prov = entry.get("provenance", {})
-        speed = entry.get("speedup_cells_per_sec", {})
+        speed = entry.get(bench.SPEEDUP_FIELD, {})
         headline = max(speed, key=lambda c: int(c)) if speed else None
         speed_txt = (f"{speed[headline]:.1f}x @ {headline}"
                      if headline else "n/a")

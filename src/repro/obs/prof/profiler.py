@@ -1,6 +1,6 @@
 """Phase-level profiling of the round engines (herdprof).
 
-The scale items on the roadmap (vectorized ``CellBatch``, bulk crypto)
+The scale items on the roadmap (bulk crypto, leaner round engines)
 are measurement-first: before optimizing the hot path we need to know,
 per round phase, where the Python time goes.  :class:`PhaseProfiler`
 buckets wall time and call/cell counts by *engine phase*:

@@ -3,7 +3,8 @@
 A cells/sec number without provenance is noise: the same workload
 moves 3× faster on a different machine or a different Python.  Every
 ``BENCH_*.json`` entry the runner writes carries a stamp built here —
-schema version, git commit, python/platform fingerprint — so
+schema version, git commit and whether the working tree differed from
+it, python/platform fingerprint — so
 ``repro bench compare`` can tell an engine regression apart from a
 machine change (same fingerprint → absolute throughput is comparable;
 different fingerprint → only machine-independent ratios are).
@@ -39,6 +40,21 @@ def git_commit(cwd: Optional[str] = None) -> str:
     return commit if out.returncode == 0 and commit else "unknown"
 
 
+def git_dirty(cwd: Optional[str] = None) -> Optional[bool]:
+    """Whether the checkout has uncommitted changes (tracked edits or
+    untracked, unignored files), i.e. whether the measured code may
+    differ from :func:`git_commit`; ``None`` outside a checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain"], cwd=cwd,
+            capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if out.returncode != 0:
+        return None
+    return bool(out.stdout.strip())
+
+
 def machine_fingerprint() -> str:
     """A short stable hash of the performance-relevant host identity:
     python implementation/version/build and machine/processor.  Two
@@ -61,6 +77,7 @@ def provenance(timestamp_utc: Optional[str] = None,
     return {
         "schema": BENCH_SCHEMA_VERSION,
         "commit": git_commit(cwd),
+        "dirty": git_dirty(cwd),
         "python": platform.python_version(),
         "python_implementation": platform.python_implementation(),
         "platform": platform.platform(),

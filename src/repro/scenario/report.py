@@ -255,5 +255,6 @@ def run_scenario(scenario: Scenario, *, execution: str = "event",
                                trace_buffer=trace_buffer,
                                profile=profile))
     base = sim.run(until=scenario.horizon_s)
-    return ScenarioReport(scenario_def=scenario, engine=execution,
+    return ScenarioReport(scenario_def=scenario,
+                          engine=sim.config.execution,
                           base=base, shards=sim.config.shards)

@@ -60,9 +60,9 @@ class ChaosConfig:
     #: SPMonitor sampling cadence for degradation faults.
     sample_interval_s: float = 0.25
     #: Zone execution engine, any name registered with
-    #: :mod:`repro.execution` (``"event"``, ``"batch"``,
-    #: ``"batch-v2"``).  The chaos report's determinism key is
-    #: identical under all of them.
+    #: :mod:`repro.execution` (``"event"``, ``"batch-v2"``).  The
+    #: chaos report's determinism key is identical under all of
+    #: them.
     execution: str = "event"
     #: Worker-process count for shardable engines (``batch-v2``).
     shards: Optional[int] = None

@@ -18,6 +18,12 @@ Calls between two clients of the zone loop through the mix
 (caller channel → mix → callee channel), which is exactly the intra-mix
 segment of a Herd circuit; the integration test splices this onto the
 inter-mix rendezvous path.
+
+There is one round orchestration, :meth:`LiveZone.step`, on every
+execution plane: it gathers the whole round and hands it to the
+round-synchronous core entry points (``SuperPeer.process_round``,
+``MixCallManager.process_round``).  The plane only decides how the
+round's wire image is carried (:meth:`LiveZone.attach_wire`).
 """
 
 from __future__ import annotations
@@ -77,7 +83,6 @@ class LiveZone:
             raise ValueError("cannot have more SPs than channels")
         plane_spec = execution_registry.resolve(execution, shards)
         self.execution = plane_spec.name
-        self.zone_mode = plane_spec.zone_mode
         self.transport = plane_spec.transport
         self.shards = plane_spec.shards
         self.shard_processes = shard_processes
@@ -257,10 +262,6 @@ class LiveZone:
 
     # -- the round engine ------------------------------------------------------
 
-    def _upstream(self) -> None:
-        for channel_id, sp in sorted(self._sp_of_channel.items()):
-            self._upstream_channel(channel_id, sp)
-
     def _gather_channel(self, channel_id: int, sp):
         """Collect one channel's round of client emissions, in slot
         order (payload only where a call is live on this channel).
@@ -269,8 +270,8 @@ class LiveZone:
         admission is capped per channel per round in strict slot
         order; deferred cells stay queued (client backpressure) and a
         chaff cell rides the wire in their place, so emission stays
-        constant-rate.  Both engines call this in the same sorted
-        channel / slot order, so shedding is engine-equivalent."""
+        constant-rate.  Channels are gathered in sorted channel /
+        slot order, so shedding is deterministic."""
         members = sp.channel_clients[channel_id]
         packets, manifests = [], []
         shedder = self.shedder
@@ -326,29 +327,6 @@ class LiveZone:
         self.wire.emit(sp.sp_id, self.mix.mix_id, up.xor_packet,
                        kind="xor")
 
-    def _upstream_channel(self, channel_id: int, sp) -> None:
-        prof = self.prof
-        if prof is not None:
-            prof.begin("chaff")
-        members, packets, manifests = self._gather_channel(channel_id,
-                                                           sp)
-        if prof is not None:
-            prof.end(cells=len(packets))
-        if not packets:
-            return
-        if prof is not None:
-            prof.begin("mix-forward")
-        up = sp.combine_upstream(channel_id, self.round_index,
-                                 packets, manifests)
-        self._emit_upstream(sp, members, packets, up)
-        entries = self._decode_entries(channel_id, up)
-        active, payload = self.manager.process_upstream(
-            channel_id, up.xor_packet, entries)
-        if active is not None and payload:
-            self._route_voice(active, payload)
-        if prof is not None:
-            prof.end(cells=len(packets))
-
     def _route_voice(self, from_numeric: int, cell: bytes) -> None:
         """Bridge a recovered voice cell to the peer's call (the
         intra-mix segment of the circuit).  Upstream payloads are
@@ -377,9 +355,7 @@ class LiveZone:
 
     def _deliver_downstream(self, round_packets: Dict[int, bytes]
                             ) -> None:
-        """Broadcast one downstream round to every channel member
-        (shared by both engines, so the wire image and client-side
-        processing are identical by construction)."""
+        """Broadcast one downstream round to every channel member."""
         prof = self.prof
         if prof is not None:
             prof.begin("deliver")
@@ -405,24 +381,20 @@ class LiveZone:
         if prof is not None:
             prof.end(cells=cells)
 
-    def _downstream(self) -> None:
-        self._deliver_downstream(
-            self.manager.downstream_round(self.round_index))
+    def step(self) -> None:
+        """One codec-frame round: upstream, control, downstream.
 
-    def _step_batch(self) -> None:
-        """The round-synchronous engine: the same round as the
-        per-channel path, through the core batch entry points.
-
-        Equivalence to the event path (DESIGN.md §9) holds because the
-        hot-path state is factored exactly along the batch seams:
-        client emission is gathered in the same sorted-channel /
-        slot order, SP combining is per-channel pure (grouping the
-        calls per SP cannot change any output), manifests decode from
-        per-attachment sequence counters, and the call manager ingests
-        channels in sorted order — the same interleaving of rng draws,
-        GRANT queueing, and voice routing as per-channel calls.
+        The round is gathered whole, then handed to the core round
+        entry points: client emission in sorted-channel / slot order,
+        SP combining per SP (per-channel pure, so grouping cannot
+        change an output), manifests decoded from per-attachment
+        sequence counters, and the call manager ingesting channels in
+        sorted order — one fixed interleaving of rng draws, GRANT
+        queueing and voice routing on every plane (DESIGN.md §9).
         """
         prof = self.prof
+        if prof is not None:
+            prof.round_started(self.round_index)
         gathered = {}
         if prof is not None:
             prof.begin("chaff")
@@ -457,23 +429,12 @@ class LiveZone:
         if prof is not None:
             prof.end(cells=sum(len(g[2]) for g in gathered.values()))
         self._deliver_downstream(round_packets)
-
-    def step(self) -> None:
-        """One codec-frame round: upstream, control, downstream."""
-        if self.prof is not None:
-            self.prof.round_started(self.round_index)
-        if self.zone_mode == "batch":
-            self._step_batch()
-        else:
-            self._upstream()
-            self._ring_pending_callees()
-            self._downstream()
         if self.wire is not None:
             self.wire.flush_round(self.round_index)
         if self.obs is not None:
             self.obs.round_finished(self.round_index)
-        if self.prof is not None:
-            self.prof.round_finished(self.round_index)
+        if prof is not None:
+            prof.round_finished(self.round_index)
         self.round_index += 1
 
     def run(self, rounds: int) -> None:
@@ -496,10 +457,10 @@ class LiveZone:
                     interval: float = DEFAULT_ROUND_INTERVAL_S
                     ) -> CellTransport:
         """Materialize the zone's wire plane: from the next round on,
-        every cell is offered to tapped netsim links under the zone's
-        execution engine (per-cell events, per-round batches, or
-        run-length vector segments — the tap records byte-identical
-        streams under all of them), or — on the ``asyncio`` plane —
+        every cell is offered to the taps under the zone's execution
+        engine (per-cell events on tapped netsim links, or one run
+        table per round — the tap records byte-identical streams
+        under both), or — on the ``asyncio`` plane —
         physically transmitted as framed loopback UDP datagrams and
         tapped on receive (DESIGN.md §14).  The concrete
         :class:`~repro.core.transport.CellTransport` resolves through

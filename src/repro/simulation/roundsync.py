@@ -1,37 +1,36 @@
-"""The wire plane of a live zone, under either execution engine.
+"""The wire plane of a live zone, under either wire representation.
 
 A :class:`~repro.simulation.live.LiveZone` runs the SP data plane at
-round granularity but historically had no *wire image* — nothing an
-adversary could tap.  :class:`WireFabric` materializes the zone's
+round granularity; :class:`WireFabric` materializes the zone's
 logical cell flows (client→SP upstream, SP→mix XOR rounds, mix→SP
-downstream, SP→client broadcast) onto :mod:`repro.netsim` links, under
-one of two execution engines:
+downstream, SP→client broadcast) as a *wire image* a tap can observe,
+in one of two representations:
 
-* ``execution="event"`` — the classical per-cell schedule: one
-  :class:`~repro.netsim.packet.Packet` and one heap event per cell, as
-  a packet-level simulator would do.  O(cells) events per round.
-* ``execution="batch"`` — round-synchronous batches: a
+* ``execution="event"`` — the reference oracle: one
+  :class:`~repro.netsim.packet.Packet` and one heap event per cell
+  through :meth:`~repro.netsim.link.Link.transmit` on lazily created
+  netsim links, as a packet-level simulator would do.  O(cells)
+  events per round.
+* ``execution="batch-v2"`` — the round run table (DESIGN.md §13): a
   :class:`~repro.netsim.rounds.RoundScheduler` fires one event per
-  round and every link carries its round's cells as a single
-  :class:`~repro.netsim.rounds.CellBatch`.  O(1) events per round.
-* ``execution="batch-v2"`` — the vectorized plane (DESIGN.md §13):
-  every link carries its round as a run-length
-  :class:`~repro.netsim.rounds.CellVector` with aggregate chaff
-  accounting, so a constant-rate round costs O(runs), not O(cells).
+  round, and the round's cells flatten into parallel ``keys`` /
+  ``sizes`` / ``counts`` rows with aggregate chaff accounting,
+  offered to every tap through
+  :func:`~repro.netsim.taps.offer_round_runs`.  O(runs) per round.
   With ``shards > 1`` the per-(link, round) segments fan out to
   worker processes (:mod:`repro.netsim.shards`) and
-  :meth:`WireFabric.finalize` merges results deterministically.
+  :meth:`WireFabric.finalize` merges them back into the same tables.
 
 Engines resolve by name through the :mod:`repro.execution` registry —
 this module never string-matches beyond its resolved ``wire_mode``.
 
 **Observational equivalence** (DESIGN.md §9): because Herd emission is
 constant-rate — a function of the clock, never of payload (invariant
-I6) — the engines offer the same cells to the same links at the
-same virtual times in the same order, so a tap's
+I6) — both representations offer the same cells on the same links at
+the same virtual times in the same order, so a
 :class:`~repro.netsim.observer.LinkObserver` records *byte-identical*
-observation streams under all of them.  The engines differ only in
-cost: events processed, objects allocated.
+observation streams under both.  They differ only in cost: events
+processed, objects allocated.
 
 The fabric is deliberately lazy: nodes and links appear on first
 emission, so mid-run churn (SP failures, re-joins) needs no
@@ -50,24 +49,16 @@ from repro.netsim.link import Link
 from repro.netsim.node import Node
 from repro.netsim.observer import LinkObserver
 from repro.netsim.packet import IP_UDP_HEADER_BYTES, Packet
-from repro.netsim.rounds import CellBatch, RoundScheduler
+from repro.netsim.rounds import RoundScheduler
 from repro.netsim.shards import (ShardChunk, ShardPlan, ShardRunner,
                                  ShardSegment, merge_results)
 from repro.netsim.taps import offer_round_runs
-
-#: Registered engine names, resolved from the :mod:`repro.execution`
-#: registry (kept as a module attribute for existing importers).
-EXECUTIONS = execution_registry.plane_names()
 
 #: One codec frame (20 ms G.711): the round tick of the data plane.
 DEFAULT_ROUND_INTERVAL_S = 0.02
 
 
 def _noop_packet(_packet) -> None:
-    return None
-
-
-def _noop_batch(_batch) -> None:
     return None
 
 
@@ -88,11 +79,9 @@ class WireFabric(CellTransport):
     interval:
         Round tick in seconds of virtual time.
     execution:
-        An engine name registered with :mod:`repro.execution` —
-        ``"event"`` (per-cell events/packets), ``"batch"`` (one
-        :class:`CellBatch` per link per round), or ``"batch-v2"``
-        (run-length :class:`~repro.netsim.rounds.CellVector`
-        segments, shardable).
+        A simulator plane registered with :mod:`repro.execution` —
+        ``"event"`` (per-cell events/packets) or ``"batch-v2"`` (one
+        run table per round, shardable).
     observer:
         The tap attached to every link; defaults to a fresh global
         :class:`~repro.netsim.observer.LinkObserver`.  Further taps
@@ -126,10 +115,7 @@ class WireFabric(CellTransport):
         self.shard_processes = shard_processes
         self.loop = EventLoop(seed=seed)
         self.scheduler = RoundScheduler(self.loop, interval)
-        if self.wire_mode == "vector":
-            self.scheduler.on_round(self._transmit_vector_queued)
-        else:
-            self.scheduler.on_round(self._transmit_queued)
+        self.scheduler.on_round(self._offer_run_table)
         self.observer = observer if observer is not None \
             else LinkObserver()
         #: Every subscribed tap, adversary observer first; links fan
@@ -190,7 +176,6 @@ class WireFabric(CellTransport):
         if found is None:
             found = Node(name, self.loop)
             found.on_packet(_noop_packet)
-            found.on_batch(_noop_batch)
             self.nodes[name] = found
             pending = self._pending_node_stats.pop(name, None)
             if pending is not None:
@@ -246,9 +231,9 @@ class WireFabric(CellTransport):
                       n: int, kind: str = "chaff") -> None:
         """Queue ``n`` wire-identical cells sharing one payload
         reference — the constant-rate fill of a trunk link costs one
-        queue entry regardless of the cell count (the batch engine
-        carries it via :meth:`CellBatch.append_repeated`; the event
-        engine expands it to n packets, as it would have anyway)."""
+        queue entry regardless of the cell count (one run-table row
+        on ``batch-v2``; the event engine expands it to n packets, as
+        it would have anyway)."""
         if n < 0:
             raise ValueError("cannot emit a negative cell count")
         if n:
@@ -263,14 +248,12 @@ class WireFabric(CellTransport):
         """Transmit everything queued, stamped at the round's tick.
 
         Event engine: one transmission event per cell (plus one
-        delivery event each) — the per-cell hot path this fabric
-        exists to measure.  Batch engine: a single round event inside
-        which every link's vector rides one
-        :meth:`~repro.netsim.link.Link.transmit_batch` call.
-        Either way the cells hit the links in identical order at the
-        identical virtual time.
+        delivery event each) — the per-cell reference path.
+        ``batch-v2``: a single round event inside which the round's
+        run table is offered to every tap.  Either way the taps see
+        the cells in identical order at the identical virtual time.
         """
-        if self.wire_mode != "event":
+        if self.wire_mode == "vector":
             self.scheduler.run_round(round_index)
         else:
             prof = self.prof
@@ -295,29 +278,7 @@ class WireFabric(CellTransport):
             if prof is not None:
                 prof.end(cells=self.cells_carried - before)
 
-    def _transmit_queued(self, round_index: int) -> None:
-        """Batch-engine round handler: one CellBatch per pending
-        link, transmitted inline (zero delay → no extra events)."""
-        prof = self.prof
-        if prof is not None:
-            prof.begin("deliver")
-        before = self.cells_carried
-        for (src, dst), runs in self._pending.items():
-            link = self.link_between(src, dst)
-            batch = CellBatch(src, dst, round_index)
-            for payload, kind, count in runs:
-                if count == 1:
-                    batch.append(payload, kind=kind)
-                else:
-                    batch.append_repeated(payload, count, kind=kind)
-            link.transmit_batch(self.nodes[src], batch)
-            self.cells_carried += len(batch)
-        self._pending.clear()
-        self.rounds_flushed += 1
-        if prof is not None:
-            prof.end(cells=self.cells_carried - before)
-
-    def _transmit_vector_queued(self, round_index: int) -> None:
+    def _offer_run_table(self, round_index: int) -> None:
         """Vector-engine round handler (``batch-v2``).
 
         Single-shard: the round's runs flatten into one run *table*
@@ -333,7 +294,8 @@ class WireFabric(CellTransport):
         stamped with its global emission slot, and routed to shards
         by the deterministic :class:`~repro.netsim.shards.ShardPlan`;
         workers and the order-restoring merge run in
-        :meth:`finalize`.  ``cells_carried`` stays eager either way.
+        :meth:`finalize`, which offers the taps the same per-round
+        tables.  ``cells_carried`` stays eager either way.
         """
         prof = self.prof
         if prof is not None:
@@ -405,8 +367,8 @@ class WireFabric(CellTransport):
         drain on first :meth:`link_between` / :meth:`node` access —
         stats are never a reason to allocate topology.
 
-        Idempotent; a no-op (returns ``None``) for non-vector
-        engines.  Run consumers call this before reading wire stats —
+        Idempotent; a no-op (returns ``None``) on the event engine.
+        Run consumers call this before reading wire stats —
         and, under ``shards > 1``, before reading ``observer`` state,
         which exists only after the merge.
         """
@@ -478,7 +440,7 @@ class WireFabric(CellTransport):
     @property
     def events_processed(self) -> int:
         """Heap events the wire plane cost so far — the quantity the
-        batch engine exists to collapse."""
+        round run table exists to collapse."""
         return self.loop.events_processed
 
     def __repr__(self) -> str:

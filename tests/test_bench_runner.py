@@ -5,7 +5,7 @@ a schema-versioned entry with provenance and a per-phase breakdown,
 and ``repro bench compare BASE HEAD`` exits nonzero when HEAD carries
 an injected slowdown of >= 20% (tolerance 0.15).  The compare gate is
 fingerprint-aware — absolute cells/sec only count on the same machine;
-across machines only the batch/event speedup ratio is gated — and it
+across machines only the batch-v2/event speedup ratio is gated — and it
 still reads pre-provenance (schema 0) baseline files.
 """
 
@@ -17,19 +17,19 @@ from repro.obs.prof import bench
 from repro.obs.prof.provenance import BENCH_SCHEMA_VERSION
 
 
-def _entry(fingerprint="machine-aaaa", batch_scale=1.0,
+def _entry(fingerprint="machine-aaaa", v2_scale=1.0,
            event_scale=1.0):
     """A synthetic schema-1 bench entry with known throughputs."""
-    engines = {"event": [], "batch": []}
+    engines = {"event": [], "batch-v2": []}
     for clients in (100, 500):
         event_cps = 50_000.0 * event_scale
-        batch_cps = 400_000.0 * batch_scale
-        for engine, cps in (("event", event_cps), ("batch",
-                                                   batch_cps)):
+        v2_cps = 400_000.0 * v2_scale
+        for engine, cps in (("event", event_cps), ("batch-v2",
+                                                   v2_cps)):
             engines[engine].append({
                 "clients": clients, "rounds": 25,
                 "cells": 2 * clients * 25,
-                "events": 25 if engine == "batch"
+                "events": 25 if engine == "batch-v2"
                 else 4 * clients * 25,
                 "elapsed_s": 1.0, "cpu_s": 1.0,
                 "cells_per_sec": cps, "events_per_sec": cps,
@@ -49,9 +49,9 @@ def _entry(fingerprint="machine-aaaa", batch_scale=1.0,
         "client_counts": [100, 500],
         "rounds": 25,
         "engines": engines,
-        "speedup_cells_per_sec": {
-            "100": 400_000.0 * batch_scale / (50_000.0 * event_scale),
-            "500": 400_000.0 * batch_scale / (50_000.0 * event_scale),
+        "speedup_v2_over_event": {
+            "100": 400_000.0 * v2_scale / (50_000.0 * event_scale),
+            "500": 400_000.0 * v2_scale / (50_000.0 * event_scale),
         },
     }
 
@@ -73,23 +73,24 @@ class TestCompareGate:
 
     def test_injected_20pct_slowdown_exits_nonzero(self, tmp_path,
                                                    capsys):
-        # The headline acceptance check: a >= 20% absolute batch
+        # The headline acceptance check: a >= 20% absolute batch-v2
         # slowdown on the same machine trips the 0.15 tolerance.
         base = _write(tmp_path, "base.json", _entry())
         head = _write(tmp_path, "head.json",
-                      _entry(batch_scale=0.80))
+                      _entry(v2_scale=0.80))
         assert main(["bench", "compare", base, head]) == 1
         err = capsys.readouterr().err
         assert "REGRESSION" in err
         # The slowdown also erodes the speedup ratio, so both gates
-        # fire: ratio at each count plus batch absolute at each count.
-        assert "speedup ratio" in err
-        assert "batch engine" in err
+        # fire: ratio at each count plus batch-v2 absolute at each
+        # count.
+        assert "batch-v2/event speedup ratio" in err
+        assert "batch-v2 engine" in err
 
     def test_slowdown_within_tolerance_passes(self, tmp_path):
         base = _write(tmp_path, "base.json", _entry())
         head = _write(tmp_path, "head.json",
-                      _entry(batch_scale=0.90))
+                      _entry(v2_scale=0.90))
         assert main(["bench", "compare", base, head]) == 0
 
     def test_cross_machine_gates_ratio_only(self, tmp_path, capsys):
@@ -98,20 +99,20 @@ class TestCompareGate:
         # must NOT fail...
         base = _write(tmp_path, "base.json",
                       _entry(fingerprint="machine-bbbb"))
-        uniform = _entry(batch_scale=0.5, event_scale=0.5)
+        uniform = _entry(v2_scale=0.5, event_scale=0.5)
         head = _write(tmp_path, "head.json", uniform)
         assert main(["bench", "compare", base, head]) == 0
         assert "speedup ratios only" in capsys.readouterr().out
-        # ...but a batch-only slowdown shifts the ratio and fails even
+        # ...but a batch-v2-only slowdown shifts the ratio and fails even
         # across machines.
         head_bad = _write(tmp_path, "head_bad.json",
-                          _entry(batch_scale=0.75))
+                          _entry(v2_scale=0.75))
         assert main(["bench", "compare", base, head_bad]) == 1
 
     def test_custom_tolerance(self, tmp_path):
         base = _write(tmp_path, "base.json", _entry())
         head = _write(tmp_path, "head.json",
-                      _entry(batch_scale=0.90))
+                      _entry(v2_scale=0.90))
         assert main(["bench", "compare", "--tolerance", "0.05",
                      base, head]) == 1
 
@@ -123,7 +124,7 @@ class TestCompareGate:
         del old["provenance"]
         base = _write(tmp_path, "old.json", old)
         head = _write(tmp_path, "head.json",
-                      _entry(batch_scale=0.70))
+                      _entry(v2_scale=0.70))
         assert main(["bench", "compare", base, head]) == 1
         out = capsys.readouterr().out
         assert "base schema 0" in out
@@ -136,9 +137,9 @@ class TestCompareGate:
         assert "error:" in capsys.readouterr().err
 
     def test_compare_entries_api_lists_each_regression(self):
-        base, head = _entry(), _entry(batch_scale=0.5)
+        base, head = _entry(), _entry(v2_scale=0.5)
         findings = bench.compare_entries(base, head)
-        # 2 ratio findings + 2 batch absolute findings.
+        # 2 ratio findings + 2 batch-v2 absolute findings.
         assert len(findings) == 4
         assert not bench.compare_entries(base, copy.deepcopy(base))
 
@@ -159,7 +160,7 @@ class TestRunAndList:
         assert prov["machine_fingerprint"] and prov["timestamp_utc"]
         assert entry["client_counts"] == [20, 40]
         # Phase breakdown from the profiled headline (40-client) runs.
-        for engine in ("event", "batch"):
+        for engine in ("event", "batch-v2"):
             phases = entry["phases"][engine]["phases"]
             assert phases["deliver"]["cells"] == 2 * 40 * 3
             assert entry["phases"][engine]["rounds_profiled"] == 3

@@ -13,11 +13,13 @@ from repro.core.invariants import (
     series_identical,
     sp_state_is_activity_free,
 )
-from repro.core.join import join_zone
+from repro.core import join as join_module, signaling
+from repro.core.join import JoinKeyMismatchError, join_zone
 from repro.core.network_coding import CODED_PACKET_SIZE
 from repro.core.signaling import (
     ChannelGrant,
     DOWNSTREAM_PACKET_SIZE,
+    DownstreamPacketSizeError,
     IncomingCallAnnouncement,
     KIND_INCOMING,
     KIND_VOIP,
@@ -62,6 +64,24 @@ class TestJoinProtocol:
         client = testbed.add_client("alice", "zone-EU")
         mix = testbed.mixes[client.mix_id]
         assert mix.client_keys["alice"].key == client.session_key.key
+
+    def test_join_key_mismatch_raises_typed_error(self, testbed,
+                                                 monkeypatch):
+        # A mix-side derivation that disagrees with the client's must
+        # fail with a typed error (not an assert, which vanishes under
+        # ``python -O``).
+        derive = join_module.derive_client_mix_key
+
+        def skewed(*args):
+            key = derive(*args)
+            return type(key)(bytes([key.key[0] ^ 1]) + key.key[1:])
+
+        monkeypatch.setattr(join_module, "derive_client_mix_key",
+                            skewed)
+        client = HerdClient("mallory", "zone-EU", rng=testbed.rng)
+        with pytest.raises(JoinKeyMismatchError, match="mallory"):
+            join_zone(client, testbed.directories["zone-EU"],
+                      testbed.mixes, rng=testbed.rng)
 
     def test_join_issues_certificate(self, testbed):
         client = testbed.add_client("alice", "zone-EU")
@@ -263,6 +283,15 @@ class TestSignaling:
         packet = make_downstream_packet(key, 0, 5, KIND_VOIP, b"cell")
         assert open_downstream_packet(clients[0].session_key, 0, 6,
                                       packet) is None
+
+    def test_wrong_sealed_size_raises_typed_error(self, monkeypatch):
+        bed, mix, sp, clients = _sp_testbed(n_clients=1, n_channels=1,
+                                            k=1)
+        key = mix.client_keys[clients[0].client_id]
+        monkeypatch.setattr(signaling, "DOWNSTREAM_PACKET_SIZE",
+                            DOWNSTREAM_PACKET_SIZE + 1)
+        with pytest.raises(DownstreamPacketSizeError):
+            make_downstream_packet(key, 0, 5, KIND_VOIP, b"cell")
 
     def test_grant_roundtrip(self):
         grant = ChannelGrant(channel_id=3, call_id=77)

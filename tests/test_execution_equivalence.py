@@ -1,16 +1,17 @@
 """The observational-equivalence contract between execution engines.
 
 DESIGN.md §9: a seeded run produces *byte-identical* adversary
-observations, metrics snapshots, and JSONL traces whether it executes
-on the per-cell event engine, the round-synchronous batch engine, or
-the vectorized ``batch-v2`` plane (DESIGN.md §13) at any shard count.
+observations, metrics snapshots, and JSONL traces whether its wire
+image is carried per cell (the ``event`` reference oracle) or as one
+run table per round (the ``batch-v2`` plane, DESIGN.md §13) at any
+shard count.
 The engines may differ in anything an adversary cannot see — events
 processed, objects allocated, wall-clock speed — and nothing else.
 
 This file pins that contract:
 
-* an exact cross-engine comparison of all three output surfaces for
-  the live scenario (plus a pinned digest, so a change that breaks
+* an exact event vs batch-v2 comparison of all three output surfaces
+  for the live scenario (plus a pinned digest, so a change that breaks
   all engines in lockstep still trips a review);
 * ``batch-v2`` at shards 1, 2, and 4 held to the same surfaces and
   the same pinned digest;
@@ -36,7 +37,7 @@ from repro.scenario import (
 )
 
 #: Pinned digest of the seed-20150817 adversary observation stream
-#: (shared by both engines).  If this changes, the wire image of the
+#: (shared by every engine).  If this changes, the wire image of the
 #: default live scenario changed — that is a protocol change, not a
 #: refactor, and needs a deliberate re-pin.
 PINNED_WIRETAP_SHA256 = \
@@ -62,28 +63,28 @@ def _wiretap_digest(report):
 class TestLiveEquivalence:
     def test_all_three_surfaces_byte_identical(self, tmp_path):
         event = _live_run("event", trace_path=tmp_path / "event.jsonl")
-        batch = _live_run("batch", trace_path=tmp_path / "batch.jsonl")
+        v2 = _live_run("batch-v2", trace_path=tmp_path / "v2.jsonl")
         # 1. The adversary's view.
         assert event.detail["wiretap"]["observations"] == \
-            batch.detail["wiretap"]["observations"]
+            v2.detail["wiretap"]["observations"]
         # 2. The metrics snapshot, down to rendered bytes.
-        assert event.metrics == batch.metrics
-        assert event.to_json() == batch.to_json()
-        assert event.to_prometheus() == batch.to_prometheus()
+        assert event.metrics == v2.metrics
+        assert event.to_json() == v2.to_json()
+        assert event.to_prometheus() == v2.to_prometheus()
         # 3. The JSONL trace files.
         assert (tmp_path / "event.jsonl").read_bytes() == \
-            (tmp_path / "batch.jsonl").read_bytes()
-        # The engines really are different under the hood: batch
+            (tmp_path / "v2.jsonl").read_bytes()
+        # The engines really are different under the hood: batch-v2
         # schedules O(rounds) wire events, event O(cells).
-        assert batch.detail["wiretap"]["wire_events_processed"] < \
+        assert v2.detail["wiretap"]["wire_events_processed"] < \
             event.detail["wiretap"]["wire_events_processed"]
         assert event.detail["wiretap"]["cells_carried"] == \
-            batch.detail["wiretap"]["cells_carried"] > 0
+            v2.detail["wiretap"]["cells_carried"] > 0
 
     def test_pinned_wiretap_digest(self):
         event = _live_run("event")
-        batch = _live_run("batch")
-        assert _wiretap_digest(event) == _wiretap_digest(batch) == \
+        v2 = _live_run("batch-v2")
+        assert _wiretap_digest(event) == _wiretap_digest(v2) == \
             PINNED_WIRETAP_SHA256
 
     def test_batch_v2_all_surfaces_at_shards_1_2_4(self, tmp_path):
@@ -102,7 +103,7 @@ class TestLiveEquivalence:
             assert (tmp_path / f"v2-{shards}.jsonl").read_bytes() == \
                 (tmp_path / "event.jsonl").read_bytes()
             assert _wiretap_digest(v2) == PINNED_WIRETAP_SHA256
-            # Vector plane: O(rounds) wire events, like batch.
+            # Vector plane: O(rounds) wire events.
             assert v2.detail["wiretap"]["wire_events_processed"] < \
                 event.detail["wiretap"]["wire_events_processed"]
 
@@ -124,10 +125,9 @@ class TestLiveEquivalence:
                 zone.received_by("client-1")
 
         obs_event, voice_event = run("event")
-        obs_batch, voice_batch = run("batch")
         obs_v2, voice_v2 = run("batch-v2")
-        assert obs_event == obs_batch == obs_v2
-        assert voice_event == voice_batch == voice_v2
+        assert obs_event == obs_v2
+        assert voice_event == voice_v2
 
 
 class TestProfilerEquivalence:
@@ -138,7 +138,7 @@ class TestProfilerEquivalence:
 
     def test_profiled_run_byte_identical_on_both_engines(self,
                                                          tmp_path):
-        for execution in ("event", "batch"):
+        for execution in ("event", "batch-v2"):
             plain = _live_run(execution,
                               trace_path=tmp_path /
                               f"{execution}-off.jsonl")
@@ -162,7 +162,7 @@ class TestProfilerEquivalence:
 
     def test_profiled_scenario_determinism_key_unchanged(self):
         scenario = TestScenarioEquivalence.DEGRADATION_SCENARIO
-        for execution in ("event", "batch"):
+        for execution in ("event", "batch-v2"):
             plain = run_scenario(scenario, execution=execution)
             profiled = run_scenario(scenario, execution=execution,
                                     profile=True)
@@ -186,10 +186,10 @@ class TestTestbedAndChaosEquivalence:
                                execution=execution)
             return Simulation(config).run(rounds=20)
 
-        event, batch = run("event"), run("batch")
-        assert event.metrics == batch.metrics
+        event, v2 = run("event"), run("batch-v2")
+        assert event.metrics == v2.metrics
         assert event.detail["frames_delivered"] == \
-            batch.detail["frames_delivered"] > 0
+            v2.detail["frames_delivered"] > 0
 
     def test_chaos_determinism_key_identical(self):
         def run(execution):
@@ -198,10 +198,10 @@ class TestTestbedAndChaosEquivalence:
                                execution=execution)
             return Simulation(config).run(until=6.0)
 
-        event, batch = run("event"), run("batch")
+        event, v2 = run("event"), run("batch-v2")
         assert event.detail.determinism_key() == \
-            batch.detail.determinism_key()
-        assert event.metrics == batch.metrics
+            v2.detail.determinism_key()
+        assert event.metrics == v2.metrics
 
 
 class TestScenarioEquivalence:
@@ -241,36 +241,31 @@ class TestScenarioEquivalence:
     def test_degradation_faults_equivalent_across_engines(self):
         event = run_scenario(self.DEGRADATION_SCENARIO,
                              execution="event")
-        batch = run_scenario(self.DEGRADATION_SCENARIO,
-                             execution="batch")
         for shards in (1, 4):
             v2 = run_scenario(self.DEGRADATION_SCENARIO,
                               execution="batch-v2", shards=shards)
             assert v2.determinism_key == event.determinism_key
             assert v2.metrics == event.metrics
+            # The fault timeline replays identically: same onsets,
+            # same reverts, same virtual times.
             assert v2.timeline == event.timeline
-        # The adversary's view is byte-identical, even while loss,
-        # jitter, and degradation windows churn link state.
-        obs_event = event.detail.wiretap["observations"]
-        obs_batch = batch.detail.wiretap["observations"]
-        assert obs_event == obs_batch
-        assert len(obs_event) > 0
-        # The fault timeline replays identically: same onsets, same
-        # reverts, same virtual times.
-        assert event.timeline == batch.timeline
+            # The adversary's view is byte-identical, even while
+            # loss, jitter, and degradation windows churn link state.
+            assert v2.detail.wiretap["observations"] == \
+                event.detail.wiretap["observations"]
+            assert v2.passed
+        assert len(event.detail.wiretap["observations"]) > 0
         actions = [entry[1] for entry in event.timeline]
         assert actions.count("injected") == 3
         assert actions.count("recovered") == 3
         # The sustained loss/degrade windows on sp-0 trip the monitor's
         # blacklist, and the live call leg fails over and survives.
         assert "blacklisted" in actions and "failover" in actions
-        # Metrics and the whole determinism key agree.
-        assert event.metrics == batch.metrics
-        assert event.determinism_key == batch.determinism_key
-        assert event.passed and batch.passed
+        assert event.passed
         # The engines still differ where they are allowed to: the
-        # batch engine schedules O(rounds) wire events, not O(cells).
-        assert batch.detail.wiretap["wire_events_processed"] < \
+        # batch-v2 plane schedules O(rounds) wire events, not
+        # O(cells).
+        assert v2.detail.wiretap["wire_events_processed"] < \
             event.detail.wiretap["wire_events_processed"]
 
     def test_scenario_key_stable_across_replays(self):
@@ -299,8 +294,7 @@ def test_equivalence_property_random_shapes(seed, n_channels, n_sps,
                            wiretap=True, execution=execution)
         return Simulation(config).run(rounds=rounds)
 
-    event, batch = run("event"), run("batch")
-    vector = run("batch-v2")
+    event, vector = run("event"), run("batch-v2")
 
     # The E9 report row: downstream cells per round, by kind.
     def census(report):
@@ -308,10 +302,9 @@ def test_equivalence_property_random_shapes(seed, n_channels, n_sps,
                 for s in report.metrics["herd_mix_cells_total"]
                 ["series"]}
 
-    assert census(event) == census(batch) == census(vector)
+    assert census(event) == census(vector)
     assert sum(census(event).values()) == n_channels * rounds
 
     # The adversary's size/time sequences.
     assert event.detail["wiretap"]["observations"] == \
-        batch.detail["wiretap"]["observations"] == \
         vector.detail["wiretap"]["observations"]

@@ -2,16 +2,19 @@
 
 DESIGN.md §13: ``SimConfig(execution=...)`` and every CLI ``--engine``
 flag resolve through :mod:`repro.execution` — one registry owning the
-mapping from an engine name to how the zone steps (``zone_mode``),
-how the wire plane carries a round (``wire_mode``), and whether the
-plane shards across worker processes — plus, since the real-network
-plane landed, which *transport* carries the wire image (``sim`` in
-memory vs ``udp`` loopback datagrams).  These tests pin the registry
-surface, its validation errors, the facade integration
-(``RunReport.engine`` / ``RunReport.shards`` everywhere), and the
-*completed* deprecation cycle: ``ScenarioReport.execution`` and the
-``--execution`` CLI flag warned for one cycle (PR 9) and now raise.
+mapping from an engine name to how the wire plane carries a round
+(``wire_mode``), whether the plane shards across worker processes,
+and which *transport* carries the wire image (``sim`` in memory vs
+``udp`` loopback datagrams).  These tests pin the registry surface,
+its validation errors, the facade integration (``RunReport.engine`` /
+``RunReport.shards`` everywhere), the *completed* deprecation cycle
+(``ScenarioReport.execution`` and the ``--execution`` CLI flag warned
+for one cycle and now raise), and the open one: the removed
+``"batch"`` plane resolves to ``"batch-v2"`` with a
+``DeprecationWarning``.
 """
+
+import warnings
 
 import pytest
 
@@ -21,28 +24,37 @@ from repro.api import RunReport, SimConfig, Simulation
 
 class TestRegistry:
     def test_registered_planes(self):
-        assert set(execution.plane_names()) >= {"event", "batch",
-                                                "batch-v2", "asyncio"}
+        assert execution.plane_names() == ("event", "batch-v2",
+                                           "asyncio")
 
     def test_plane_specs(self):
         event = execution.get_plane("event")
-        assert (event.zone_mode, event.wire_mode) == ("event", "event")
+        assert event.wire_mode == "event"
         assert not event.supports_shards
-        batch = execution.get_plane("batch")
-        assert (batch.zone_mode, batch.wire_mode) == ("batch", "batch")
-        assert not batch.supports_shards
         v2 = execution.get_plane("batch-v2")
-        assert (v2.zone_mode, v2.wire_mode) == ("batch", "vector")
+        assert v2.wire_mode == "vector"
         assert v2.supports_shards
+
+    def test_batch_alias_warns_and_resolves_to_batch_v2(self):
+        with pytest.warns(DeprecationWarning, match="batch-v2"):
+            spec = execution.resolve("batch")
+        assert spec.plane is execution.get_plane("batch-v2")
+        assert spec.name == "batch-v2" and spec.shards == 1
+        with pytest.warns(DeprecationWarning):
+            assert execution.resolve("batch", 4).shards == 4
+        # Registered names resolve silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            execution.resolve("batch-v2")
 
     def test_transport_axis(self):
         # Every simulator plane runs on the "sim" transport; the
         # asyncio plane is the only one on real sockets.
-        for name in ("event", "batch", "batch-v2"):
+        for name in ("event", "batch-v2"):
             assert execution.get_plane(name).transport == "sim"
         net = execution.get_plane("asyncio")
         assert net.transport == "udp"
-        assert (net.zone_mode, net.wire_mode) == ("batch", "socket")
+        assert net.wire_mode == "socket"
         assert not net.supports_shards
 
     def test_create_wire_fabric_seam(self):
@@ -74,7 +86,7 @@ class TestRegistry:
         spec = execution.resolve("batch-v2", 4)
         assert spec.name == "batch-v2" and spec.shards == 4
         # shards=1 is the no-op spelling every plane accepts.
-        assert execution.resolve("batch", 1).shards == 1
+        assert execution.resolve("asyncio", 1).shards == 1
 
     def test_resolve_rejects_bad_shards(self):
         with pytest.raises(ValueError, match="shards"):
@@ -82,7 +94,7 @@ class TestRegistry:
         with pytest.raises(ValueError, match="shard"):
             execution.resolve("event", 2)
         with pytest.raises(ValueError, match="shard"):
-            execution.resolve("batch", 4)
+            execution.resolve("asyncio", 4)
 
 
 class TestFacadeIntegration:
@@ -91,28 +103,29 @@ class TestFacadeIntegration:
         assert cfg.execution == "batch-v2" and cfg.shards == 2
         assert SimConfig(seed=1).shards == 1
         with pytest.raises(ValueError):
-            SimConfig(seed=1, execution="batch", shards=2)
+            SimConfig(seed=1, execution="event", shards=2)
         with pytest.raises(ValueError):
             SimConfig(seed=1, execution="nope")
 
     def test_runreport_engine_vocabulary(self):
         report = Simulation(SimConfig(seed=3, n_clients=6,
-                                      execution="batch")).run(rounds=5)
-        assert report.engine == "batch"
+                                      execution="batch-v2")).run(
+                                          rounds=5)
+        assert report.engine == "batch-v2"
         assert report.shards == 1
-        assert report.detail["engine"] == "batch"
+        assert report.detail["engine"] == "batch-v2"
 
     def test_scenario_report_execution_alias_removed(self):
         from repro.scenario import run_scenario
         from repro.scenario.loader import load_scenario
         scenario = load_scenario("scenarios/00-baseline.toml")
-        report = run_scenario(scenario, execution="batch")
-        assert report.engine == "batch"
+        report = run_scenario(scenario, execution="batch-v2")
+        assert report.engine == "batch-v2"
         # The PR-9 deprecation cycle is complete: the alias raises.
         with pytest.raises(AttributeError, match="engine"):
             report.execution
         artifact = report.to_artifact_dict()
-        assert artifact["engine"] == "batch"
+        assert artifact["engine"] == "batch-v2"
         assert "execution" not in artifact
         assert artifact["shards"] == 1
 

@@ -9,11 +9,13 @@ zero-argument callable in its place.
 """
 
 import re
+import subprocess
 
 from repro.obs.prof import PHASES, PhaseProfiler
 from repro.obs.prof import deepprof
 from repro.obs.prof.provenance import (
     BENCH_SCHEMA_VERSION,
+    git_dirty,
     machine_fingerprint,
     provenance,
 )
@@ -231,6 +233,27 @@ class TestProvenance:
         assert re.fullmatch(r"[0-9a-f]{16}",
                             prov["machine_fingerprint"])
         assert prov["python"] and prov["platform"]
+
+    def test_dirty_flag_tracks_the_working_tree(self, tmp_path):
+        assert git_dirty(str(tmp_path)) is None  # not a checkout
+
+        def git(*args):
+            subprocess.run(["git", "-c", "user.name=t",
+                            "-c", "user.email=t@example.invalid",
+                            *args], cwd=tmp_path, check=True,
+                           capture_output=True)
+
+        git("init", "-q")
+        (tmp_path / "a.txt").write_text("one\n")
+        git("add", "a.txt")
+        git("commit", "-q", "-m", "one")
+        assert git_dirty(str(tmp_path)) is False
+        assert provenance(cwd=str(tmp_path))["dirty"] is False
+        (tmp_path / "a.txt").write_text("two\n")
+        assert git_dirty(str(tmp_path)) is True
+        git("commit", "-q", "-am", "two")
+        (tmp_path / "new.txt").write_text("untracked\n")
+        assert provenance(cwd=str(tmp_path))["dirty"] is True
 
     def test_fingerprint_is_stable(self):
         assert machine_fingerprint() == machine_fingerprint()

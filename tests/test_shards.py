@@ -13,7 +13,7 @@ Pinned here:
   enforces statically, checked dynamically);
 * a hypothesis property: every partition of the segments into shards
   and every interleaving of the shard results merges to identical
-  tap observations and link totals;
+  tap observations, link totals and ``record_round_runs`` calls;
 * a real-process :class:`ShardRunner` smoke test;
 * shards=1 vs shards=4 determinism-key equivalence over the full
   scenario corpus (the §10 CI contract, sharded).
@@ -40,6 +40,19 @@ from repro.netsim.shards import (
 from repro.netsim.taps import TallyTap
 
 CORPUS = sorted(Path("scenarios").glob("*.toml"))
+
+
+class CallRecorder:
+    """A tap that keeps every ``record_round_runs`` call verbatim."""
+
+    def __init__(self):
+        self.calls = []
+
+    def record(self, time, cell, src, dst):
+        raise AssertionError("round tables must not fall back per cell")
+
+    def record_round_runs(self, time, keys, sizes, counts):
+        self.calls.append((time, list(keys), list(sizes), list(counts)))
 
 
 def _segment(round_index, slot, src="a", dst="b", sizes=(188,),
@@ -138,8 +151,10 @@ class TestMergeDeterminism:
     def test_any_interleaving_merges_identically(self, segments,
                                                  n_shards, order):
         """Partition the segments by an arbitrary plan, process each
-        shard, shuffle the result order, and merge: observations and
-        totals must equal the canonical single-shard merge."""
+        shard, shuffle the result order, and merge: observations,
+        totals and the taps' ``record_round_runs`` calls must equal
+        the canonical single-shard merge — one link-contiguous table
+        per round, rows in emission-slot order."""
         plan = ShardPlan(n_shards)
         buckets = {}
         for seg in segments:
@@ -151,15 +166,29 @@ class TestMergeDeterminism:
         order.shuffle(results)
 
         tap = LinkObserver()
-        merged = merge_results(results, taps=(tap,))
+        calls = CallRecorder()
+        merged = merge_results(results, taps=(tap, calls))
 
         ref_tap = LinkObserver()
+        ref_calls = CallRecorder()
         reference = merge_results(
             [process_chunk(ShardChunk(shard_id=0,
                                       segments=tuple(segments)))],
-            taps=(ref_tap,))
+            taps=(ref_tap, ref_calls))
 
         assert tap.observations == ref_tap.observations
+        assert calls.calls == ref_calls.calls
+        # The table the unsharded plane offers at flush time.
+        rounds = sorted({s.round_index for s in segments})
+        assert ref_calls.calls == [
+            (r * 0.02,
+             [(s.src, s.dst) for s in segments if s.round_index == r
+              for _ in s.sizes],
+             [z for s in segments if s.round_index == r
+              for z in s.sizes],
+             [c for s in segments if s.round_index == r
+              for c in s.counts])
+            for r in rounds]
         assert merged["cells"] == reference["cells"] == \
             sum(sum(s.counts) for s in segments)
         assert merged["bytes"] == reference["bytes"]
@@ -179,6 +208,28 @@ class TestMergeDeterminism:
         assert [(o.time, o.size) for o in observer.observations] == \
             [(0.0, 20), (0.0, 20), (0.02, 10)]
         assert tap.cells == 3 and tap.bytes == 50
+
+
+    def test_fabric_tap_calls_identical_at_shards_1_and_4(self):
+        from repro.simulation.roundsync import WireFabric
+
+        def run(shards):
+            fabric = WireFabric(seed=1, execution="batch-v2",
+                                shards=shards, shard_processes=False)
+            calls = CallRecorder()
+            fabric.add_tap(calls)
+            for r in range(3):
+                for i in range(5):
+                    fabric.emit(f"c{i}", f"sp{i % 2}", bytes(100 + i))
+                fabric.emit_repeated("sp0", "mix", bytes(188), 3 + r)
+                fabric.emit_repeated("mix", "sp1", bytes(188), 2)
+                fabric.flush_round(r)
+            fabric.finalize()
+            return calls.calls
+
+        one = run(1)
+        assert one == run(4)
+        assert len(one) == 3 and sum(one[2][3]) == 5 + 5 + 2
 
 
 class TestShardRunnerProcesses:

@@ -66,8 +66,8 @@ class SimConfig:
         :mod:`repro.execution` registry: ``"event"`` (default) — the
         per-cell reference wire path (one packet and one heap event
         per cell); ``"batch-v2"`` — the vectorized plane (one run
-        table per round with aggregate chaff accounting, shardable
-        across worker processes); ``"asyncio"`` — the real-network plane
+        table per round with aggregate chaff accounting);
+        ``"asyncio"`` — the real-network plane
         (the same round-synchronous protocol, every cell carried as
         a framed UDP datagram over loopback, DESIGN.md §14).  The
         engines are observationally equivalent: a seeded run
@@ -76,10 +76,6 @@ class SimConfig:
         §13); they differ only in cost — and the real-network plane
         additionally reports host-socket accounting in
         ``report.detail["net"]``, a side channel like ``perf``.
-    shards:
-        Worker-process count for shardable engines (``batch-v2``).
-        ``None`` / ``1`` runs single-process; requesting ``shards >
-        1`` on a non-shardable engine raises ``ValueError``.
     net_processes:
         Real-network (``"asyncio"``) plane only: host the UDP
         receive endpoints in a separate worker process, so every
@@ -108,7 +104,7 @@ class SimConfig:
                  "n_sps", "k", "zone_id", "zone_specs",
                  "client_prefix", "call_pairs", "chaos",
                  "scenario_def", "trace_path", "trace_buffer",
-                 "execution", "shards", "net_processes", "wiretap",
+                 "execution", "net_processes", "wiretap",
                  "profile")
 
     def __init__(self, *, scenario: str = "live",
@@ -122,7 +118,6 @@ class SimConfig:
                  trace_path: Optional[str] = None,
                  trace_buffer: int = 4096,
                  execution: str = "event",
-                 shards: Optional[int] = None,
                  net_processes: bool = False,
                  wiretap: bool = False,
                  profile: bool = False):
@@ -134,12 +129,12 @@ class SimConfig:
         if scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, "
                              f"not {scenario!r}")
-        plane_spec = execution_registry.resolve(execution, shards)
-        if net_processes and plane_spec.transport != "udp":
+        plane = execution_registry.resolve(execution)
+        if net_processes and plane.transport != "udp":
             raise ValueError(
                 f"net_processes applies to the real-network "
-                f"transport only; plane {plane_spec.name!r} runs "
-                f"on {plane_spec.transport!r}")
+                f"transport only; plane {plane.name!r} runs "
+                f"on {plane.transport!r}")
         if call_pairs < 0 or 2 * call_pairs > n_clients:
             raise ValueError("call_pairs needs two clients per call")
         self.scenario = scenario
@@ -156,8 +151,7 @@ class SimConfig:
         self.scenario_def = scenario_def
         self.trace_path = trace_path
         self.trace_buffer = trace_buffer
-        self.execution = plane_spec.name
-        self.shards = plane_spec.shards
+        self.execution = plane.name
         self.net_processes = bool(net_processes)
         self.wiretap = wiretap
         self.profile = profile
@@ -175,21 +169,19 @@ class RunReport:
 
     __slots__ = ("scenario", "seed", "rounds_run", "metrics",
                  "trace_events", "trace_path", "detail", "perf",
-                 "engine", "shards")
+                 "engine")
 
     def __init__(self, *, scenario: str, seed: int, rounds_run: int,
                  metrics: Dict[str, Any], trace_events: Tuple,
                  trace_path: Optional[str], detail: Any,
                  perf: Optional[Dict[str, Any]] = None,
-                 engine: str = "event", shards: int = 1):
+                 engine: str = "event"):
         self.scenario = scenario
         self.seed = seed
         self.rounds_run = rounds_run
-        #: The execution engine the run used (registry name) and its
-        #: shard count — the same vocabulary the CLI flags
-        #: ``--engine`` / ``--shards`` use.
+        #: The execution engine the run used (registry name) — the
+        #: same vocabulary the CLI flag ``--engine`` uses.
         self.engine = engine
-        self.shards = shards
         #: Deterministic :meth:`~repro.obs.metrics.MetricsRegistry
         #: .snapshot` of every instrument the run touched.
         self.metrics = metrics
@@ -288,7 +280,7 @@ class Simulation:
                          trace_path=cfg.trace_path, detail=detail,
                          perf=prof.report() if prof is not None
                          else None,
-                         engine=cfg.execution, shards=cfg.shards)
+                         engine=cfg.execution)
 
     # -- scenarios ------------------------------------------------------------
 
@@ -306,7 +298,7 @@ class Simulation:
                         n_sps=cfg.n_sps, seed=cfg.seed,
                         zone_id=cfg.zone_id,
                         client_prefix=cfg.client_prefix,
-                        execution=cfg.execution, shards=cfg.shards,
+                        execution=cfg.execution,
                         net_processes=cfg.net_processes)
         if self.profiler is not None:
             # Before attach_wire, so the fabric (and its links) picks
@@ -332,13 +324,10 @@ class Simulation:
         detail = {
             "zone_id": cfg.zone_id,
             "engine": cfg.execution,
-            "shards": cfg.shards,
             "clients_in_call": in_call,
             "calls_blocked": zone.manager.calls_blocked,
         }
         if fabric is not None:
-            # Sharded engines defer tap fan-out to worker processes;
-            # the merge restores canonical order (no-op otherwise).
             fabric.finalize()
             if cfg.wiretap:
                 # The adversary's view, as plain tuples:
@@ -417,8 +406,7 @@ class Simulation:
                             n_clients=cfg.n_clients,
                             n_channels=cfg.n_channels,
                             call_pairs=cfg.call_pairs,
-                            execution=cfg.execution,
-                            shards=cfg.shards)
+                            execution=cfg.execution)
         if until is not None:
             chaos_cfg = replace(chaos_cfg, horizon_s=float(until))
         report = run_chaos(chaos_cfg, scope=self.scope,
@@ -432,7 +420,6 @@ class Simulation:
         if until is not None and float(until) != scenario.horizon_s:
             scenario = scenario.with_horizon(float(until))
         outcome = execute(scenario, execution=cfg.execution,
-                          shards=cfg.shards,
                           net_processes=cfg.net_processes,
                           scope=self.scope,
                           profiler=self.profiler)

@@ -52,8 +52,3 @@ class TorModel:
 
     def one_way_delay_ms(self) -> float:
         return self.circuit_rtt() * 1000.0 / 2.0
-
-    def client_bandwidth_kbps(self, unit_rate_kbps: float = 8.0) -> float:
-        """No chaffing: bandwidth equals the payload rate during calls
-        (and zero otherwise)."""
-        return unit_rate_kbps

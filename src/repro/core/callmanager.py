@@ -381,12 +381,3 @@ class ClientCallAgent:
                 self.received_cells.append(payload)
             return "voice"
         return None
-
-    def upstream_payload_for(self, channel_id: int,
-                             cell: Optional[bytes]) -> Optional[bytes]:
-        """The payload to carry on one channel this round: the voice
-        cell if this is the call's channel, chaff otherwise."""
-        if self.state is CallState.IN_CALL and \
-                channel_id == self.active_channel:
-            return cell
-        return None

@@ -178,10 +178,3 @@ class HerdClient:
         if self.circuit is None:
             raise RuntimeError("no circuit built yet")
         return self.circuit.rendezvous_mix
-
-    # -- chaff clock ----------------------------------------------------------
-
-    def link_rate_bps(self) -> float:
-        """Constant client-link bandwidth: k channels × codec rate
-        (the paper's 24 KB/s for k=3 with G.711)."""
-        return self.k * self.codec.payload_rate_bps

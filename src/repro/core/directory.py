@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.zone import TrustZone
 from repro.crypto.keys import IdentityKeyPair, ShortTermKeyPair
@@ -97,10 +97,6 @@ class ZoneDirectory:
 
     def lookup_descriptor(self, subject_id: str) -> Optional[Descriptor]:
         return self._descriptors.get(subject_id)
-
-    def mix_descriptors(self) -> List[Descriptor]:
-        return [d for d in self._descriptors.values()
-                if d.subject_id in self.zone.mix_ids]
 
     # -- mix selection -----------------------------------------------------
 

@@ -155,13 +155,3 @@ class SuperPeer:
             self.obs.downstream_broadcast(channel_id, len(packet),
                                           len(clients))
         return [(client, packet) for client in clients]
-
-    # -- resource accounting ----------------------------------------------------
-
-    def mix_link_rate_units(self) -> int:
-        """Chaffed mix-link rate in call units: one per hosted channel."""
-        return len(self.channel_clients)
-
-    def client_link_rate_units(self) -> int:
-        """Total client-side rate in call units: one per attachment."""
-        return sum(len(c) for c in self.channel_clients.values())

@@ -63,7 +63,7 @@ class CellTransport:
         raise NotImplementedError
 
     def finalize(self) -> Optional[Dict[str, object]]:
-        """Complete deferred work (shard merges, socket teardown);
+        """Complete deferred work (wire-stat totals, socket teardown);
         idempotent.  Run consumers call this before reading stats."""
         raise NotImplementedError
 

@@ -17,16 +17,11 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.chaffing import RateController
-from repro.core.sharding import shard_crossing
 
 
-@shard_crossing
 @dataclass
 class ZoneConfig:
-    """Static parameters of a zone.
-
-    Declared shard-crossing: the fan-out step hands each zone worker
-    its ``ZoneConfig``, so fields must stay picklable (HL104)."""
+    """Static parameters of a zone."""
 
     zone_id: str
     site_id: str

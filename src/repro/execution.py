@@ -16,12 +16,8 @@ Planes differ only in how the wire image of a round is carried:
   :class:`~repro.netsim.packet.Packet` + heap event per cell through
   :meth:`~repro.netsim.link.Link.transmit` — the reference oracle),
   ``"vector"`` (one flat run table per round with aggregate chaff
-  accounting — O(runs) per round, shardable across worker processes,
-  DESIGN.md §13), or ``"socket"`` (the same run table rebuilt from
-  real datagrams, DESIGN.md §14);
-* ``supports_shards`` — whether ``shards > 1`` may be requested; the
-  sharded wire plane fans round segments out to workers and merges
-  results deterministically (:mod:`repro.netsim.shards`);
+  accounting — O(runs) per round, DESIGN.md §13), or ``"socket"``
+  (the same run table rebuilt from real datagrams, DESIGN.md §14);
 * ``transport`` — what physically carries the wire image: ``"sim"``
   (the in-memory :class:`~repro.simulation.roundsync.WireFabric` over
   netsim links) or ``"udp"`` (cells framed by :mod:`repro.core.wire`
@@ -31,16 +27,15 @@ Planes differ only in how the wire image of a round is carried:
   single seam where a resolved plane becomes a concrete
   :class:`~repro.core.transport.CellTransport`.
 
-Built-in planes: ``"event"``, ``"batch-v2"`` (the vectorized,
-shardable plane) and ``"asyncio"`` (same protocol, real UDP sockets
-over loopback, DESIGN.md §14).  The removed ``"batch"`` plane (one
-per-link batch object per round) resolves to ``"batch-v2"`` with a
-:class:`DeprecationWarning` for one release cycle.
+Built-in planes: ``"event"``, ``"batch-v2"`` (the vectorized plane)
+and ``"asyncio"`` (same protocol, real UDP sockets over loopback,
+DESIGN.md §14).  Every plane runs in one process; zone sharding was
+removed, and :func:`check_shards` keeps only the ``shards=None`` /
+``shards=1`` form of the old parameter on the benchmark entry points.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -59,7 +54,6 @@ class ExecutionPlane:
 
     name: str
     wire_mode: str
-    supports_shards: bool = False
     description: str = ""
     #: What physically carries the wire image: ``"sim"`` (in-memory
     #: netsim links) or ``"udp"`` (real loopback datagrams between
@@ -75,30 +69,7 @@ class ExecutionPlane:
                              f"not {self.transport!r}")
 
 
-@dataclass(frozen=True)
-class PlaneSpec:
-    """A resolved (plane, shards) request — what consumers act on."""
-
-    plane: ExecutionPlane
-    shards: int = 1
-
-    @property
-    def name(self) -> str:
-        return self.plane.name
-
-    @property
-    def wire_mode(self) -> str:
-        return self.plane.wire_mode
-
-    @property
-    def transport(self) -> str:
-        return self.plane.transport
-
-
 _REGISTRY: Dict[str, ExecutionPlane] = {}
-#: Removed plane names that still resolve, for one deprecation
-#: cycle, to the plane that replaced them.
-_DEPRECATED_ALIASES = {"batch": "batch-v2"}
 
 
 def register_plane(plane: ExecutionPlane) -> ExecutionPlane:
@@ -112,21 +83,14 @@ def plane_names() -> Tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def get_plane(name: str) -> ExecutionPlane:
-    """Look one plane up by name; unknown names raise ``ValueError``
-    listing what is registered (with a did-you-mean when close).  A
-    deprecated alias warns and returns its replacement."""
+def resolve(name: str) -> ExecutionPlane:
+    """Resolve an ``execution=`` / ``--engine`` request to its
+    registered :class:`ExecutionPlane`; unknown names raise
+    ``ValueError`` listing what is registered (with a did-you-mean
+    when close)."""
     found = _REGISTRY.get(name)
     if found is not None:
         return found
-    replacement = _DEPRECATED_ALIASES.get(name)
-    if replacement is not None:
-        warnings.warn(
-            f"execution plane {name!r} was removed; it resolves to "
-            f"{replacement!r}, which produces byte-identical outputs. "
-            f"The alias will be removed in the next release.",
-            DeprecationWarning, stacklevel=3)
-        return _REGISTRY[replacement]
     import difflib
     close = difflib.get_close_matches(str(name), _REGISTRY, n=1)
     hint = f" (did you mean {close[0]!r}?)" if close else ""
@@ -135,20 +99,17 @@ def get_plane(name: str) -> ExecutionPlane:
         f"{', '.join(_REGISTRY)}{hint}")
 
 
-def resolve(execution: str, shards: Optional[int] = None) -> PlaneSpec:
-    """Resolve an ``execution=`` / ``--engine`` request to a
-    :class:`PlaneSpec`, validating the shard count against the
-    plane's capability."""
-    plane = get_plane(execution)
-    n = 1 if shards is None else int(shards)
-    if n < 1:
-        raise ValueError(f"shards must be >= 1, not {shards!r}")
-    if n > 1 and not plane.supports_shards:
+def check_shards(shards: Optional[int]) -> None:
+    """Reject any ``shards`` other than ``None`` / ``1``.
+
+    Zone sharding was removed: every plane runs its round table in one
+    process.  ``LiveZone``, ``run_scenario`` and ``run_backbone`` still
+    accept the single-process values so existing callers keep
+    working."""
+    if shards not in (None, 1):
         raise ValueError(
-            f"execution plane {plane.name!r} does not support "
-            f"sharding; use shards=1 or a shardable plane "
-            f"({', '.join(p for p in _REGISTRY if _REGISTRY[p].supports_shards) or 'none registered'})")
-    return PlaneSpec(plane=plane, shards=n)
+            f"zone sharding was removed; shards={shards!r} is not "
+            f"supported (pass None or 1, or drop the argument)")
 
 
 register_plane(ExecutionPlane(
@@ -157,10 +118,8 @@ register_plane(ExecutionPlane(
                 "event per cell (the reference oracle)"))
 register_plane(ExecutionPlane(
     name="batch-v2", wire_mode="vector",
-    supports_shards=True,
     description="vectorized rounds: one flat run table per round "
-                "with aggregate chaff accounting, shardable across "
-                "worker processes with a deterministic merge"))
+                "with aggregate chaff accounting"))
 register_plane(ExecutionPlane(
     name="asyncio", wire_mode="socket",
     transport="udp",
@@ -173,8 +132,7 @@ register_plane(ExecutionPlane(
 
 def create_wire_fabric(execution: str, *, seed: int = 0,
                        interval: Optional[float] = None,
-                       observer=None, shards: Optional[int] = None,
-                       shard_processes: Optional[bool] = None,
+                       observer=None,
                        net_processes: Optional[bool] = None):
     """The transport seam: build the concrete
     :class:`~repro.core.transport.CellTransport` for a resolved plane.
@@ -188,21 +146,18 @@ def create_wire_fabric(execution: str, *, seed: int = 0,
     socket plane and vice versa.
 
     ``net_processes`` applies only to the UDP plane (host the receive
-    endpoints in a separate worker process); ``shards`` /
-    ``shard_processes`` only to shardable simulator planes.
+    endpoints in a separate worker process).
     """
-    spec = resolve(execution, shards)
+    plane = resolve(execution)
     if interval is None:
         from repro.simulation.roundsync import \
             DEFAULT_ROUND_INTERVAL_S
         interval = DEFAULT_ROUND_INTERVAL_S
-    if spec.transport == "udp":
+    if plane.transport == "udp":
         from repro.net.transport import UdpFabric
         return UdpFabric(seed=seed, interval=interval,
                          observer=observer,
                          processes=bool(net_processes))
     from repro.simulation.roundsync import WireFabric
     return WireFabric(seed=seed, interval=interval,
-                      execution=spec.name, observer=observer,
-                      shards=spec.shards,
-                      shard_processes=shard_processes)
+                      execution=plane.name, observer=observer)

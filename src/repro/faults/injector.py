@@ -269,11 +269,3 @@ class FaultInjector:
         for handle in self._degrade_handles.values():
             handle.cancel()
         self._degrade_handles.clear()
-
-    # -- introspection ---------------------------------------------------------
-
-    def timeline_tuples(self) -> List[Tuple[float, str, str, str, str]]:
-        """The timeline as plain tuples — what determinism tests
-        compare across replays."""
-        return [(e.time_s, e.action, e.kind, e.target, e.detail)
-                for e in self.timeline]

@@ -21,8 +21,8 @@ the machinery those *flow* properties need:
   hash so whole-tree runs stay fast;
 * :mod:`repro.lint.flow.rules` — the flow-sensitive rule family:
   HL004 (interprocedural secret taint), HL007 (determinism taint) and
-  the HL10x concurrency-safety rules gating the sharded/asyncio
-  planes (HL101-HL104).
+  the HL10x concurrency-safety rules gating the forked and asyncio
+  parts of the real-network plane (HL101-HL103).
 
 DESIGN.md §12 documents the lattice, the summary algebra, and the
 baseline workflow.

@@ -4,11 +4,11 @@ hosted in a separate worker process.
 In-process loopback datagrams already cross the kernel, but sender
 and receiver still share one Python interpreter and one GIL.  With
 ``processes=True`` the :class:`~repro.net.transport.UdpFabric` forks
-one worker (the same ``fork`` start method as
-:mod:`repro.netsim.shards`) that owns its own asyncio loop, all
-receive endpoints, and the :class:`~repro.net.transport
-.RoundCollector`; every cell datagram then genuinely travels between
-two processes.
+one worker (``multiprocessing`` ``fork`` start method) that owns its
+own asyncio loop, all receive endpoints, and the
+:class:`~repro.net.transport.RoundCollector`; every cell datagram then
+genuinely travels between two processes.  This is the only place the
+repository forks.
 
 The split of channels:
 
@@ -24,6 +24,12 @@ The split of channels:
   ``missing`` list makes the fabric retransmit exactly those
   ``(run, seq)`` frames and wait again — the same bounded recovery
   the in-process barrier performs.
+
+Every pipe message is a tuple of builtins (``str``/``int`` and lists,
+tuples and dicts of them): ``("open", names)``, ``("ports", {name:
+port})``, ``("expect", round, {run: count})``, ``("wait",)``,
+``("round", round, rows, missing)``, ``("close",)`` and ``("stats",
+{name: int})``.  Nothing protocol-typed crosses the pipe.
 
 The worker's command loop is synchronous (blocking pipe reads happen
 *between* ``run_until_complete`` calls, never inside a coroutine —

@@ -16,17 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from repro.core.sharding import shard_crossing
 
-
-@shard_crossing
 @dataclass(frozen=True)
 class Observation:
-    """One packet sighting on a tapped link.
-
-    Declared shard-crossing: zone workers stream their observation
-    logs back to the merge step, so every field must survive pickling
-    (HL104 enforces this statically)."""
+    """One packet sighting on a tapped link."""
 
     time: float
     size: int
@@ -55,7 +48,7 @@ class LinkObserver:
     def record_round_runs(self, time: float, keys, sizes,
                           counts) -> None:
         """Called once per round by the run-table wire planes
-        (``batch-v2``, its shards, ``asyncio``) with parallel arrays:
+        (``batch-v2``, ``asyncio``) with parallel arrays:
         row ``i`` is ``counts[i]`` wire-identical cells of
         ``sizes[i]`` bytes on the directed link ``keys[i]``.  The
         adversary stores per-cell sightings, so rows expand here, in

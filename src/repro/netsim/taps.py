@@ -16,7 +16,7 @@ A tap has two capability tiers:
   ``sizes[i]`` bytes on the directed link ``keys[i] = (src, dst)``.
   Rows are link-contiguous (all of a link's runs adjacent, links in
   first-emission order, runs in emission order).  This is what the
-  ``batch-v2`` plane, its shards and the ``asyncio`` plane feed; an
+  ``batch-v2`` plane and the ``asyncio`` plane feed; an
   aggregate tap can reduce the table at C speed (``sum(counts)``).
 
 Plus one extension for *non-adversary* instrumentation:

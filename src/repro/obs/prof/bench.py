@@ -9,8 +9,8 @@ across runs.  This module owns the core loop so the pytest bench, the
 
 * :func:`run_backbone` — the constant-rate zone-backbone loop
   (SP↔mix trunks under :class:`~repro.simulation.roundsync.WireFabric`),
-  on any registered engine (``event`` / ``batch-v2``, with optional
-  shards, or ``asyncio``), optionally with a
+  on any registered engine (``event``, ``batch-v2`` or
+  ``asyncio``), optionally with a
   :class:`~repro.obs.prof.profiler.PhaseProfiler` attached;
 * :func:`run_scaling_bench` — the full sweep: every engine over its
   client-count ladder (each engine caps at the count where its cost
@@ -91,16 +91,18 @@ def run_backbone(execution: str, n_clients: int,
     one run-table row per trunk on batch-v2, per-cell packets and
     heap events on the event engine, and one loopback UDP datagram
     per cell on the real-network
-    ``asyncio`` plane.  ``shards`` fans the vector plane out over
-    worker processes; the mandatory ``finalize`` merge is timed as
-    part of the run.  The fabric comes from the transport seam
+    ``asyncio`` plane.  The closing ``finalize`` is timed as part of
+    the run.  ``shards`` only accepts ``None`` / ``1`` (zone sharding
+    was removed; see :func:`repro.execution.check_shards`).  The
+    fabric comes from the transport seam
     (:func:`repro.execution.create_wire_fabric`), so this module
     never imports the simulator or the socket plane directly.
     """
     from repro import execution as execution_registry
 
+    execution_registry.check_shards(shards)
     fabric = execution_registry.create_wire_fabric(
-        execution, seed=1, observer=TallyObserver(), shards=shards)
+        execution, seed=1, observer=TallyObserver())
     if profiler is not None:
         profiler.attach_fabric(fabric)
     n_sps = max(1, n_clients // clients_per_sp)
@@ -126,7 +128,6 @@ def run_backbone(execution: str, n_clients: int,
     return {
         "clients": n_clients,
         "rounds": rounds,
-        "shards": fabric.shards,
         "cells": fabric.cells_carried,
         "events": fabric.events_processed,
         "elapsed_s": elapsed,
@@ -196,14 +197,13 @@ def _gc_paused():
             gc.enable()
 
 
-def _best_run(engine: str, n_clients: int, rounds: int,
-              shards: Optional[int]) -> Dict[str, Any]:
+def _best_run(engine: str, n_clients: int,
+              rounds: int) -> Dict[str, Any]:
     with _gc_paused():
         best: Optional[Dict[str, Any]] = None
         spent = 0.0
         for rep in range(MAX_REPS):
-            run = run_backbone(engine, n_clients, rounds,
-                               shards=shards)
+            run = run_backbone(engine, n_clients, rounds)
             spent += run["elapsed_s"]
             if best is None or run["cells_per_sec"] > \
                     best["cells_per_sec"]:
@@ -231,14 +231,12 @@ def run_scaling_bench(
         rounds: int = DEFAULT_ROUNDS, *,
         timestamp_utc: Optional[str] = None,
         with_phases: bool = True,
-        engines: Sequence[str] = DEFAULT_ENGINES,
-        shards: Optional[int] = None) -> Dict[str, Any]:
+        engines: Sequence[str] = DEFAULT_ENGINES) -> Dict[str, Any]:
     """Run the full engine-scaling sweep and build a schema-versioned
     bench entry.
 
     Each engine climbs the ``client_counts`` ladder up to its
-    :data:`ENGINE_CAPS` cap.  ``shards`` applies only to shardable
-    engines (batch-v2).  Real-network engines (``asyncio``) are
+    :data:`ENGINE_CAPS` cap.  Real-network engines (``asyncio``) are
     swept the same way but recorded under the separate
     ``net_engines`` schema key — loopback throughput is host-network
     data and must not move the simulator regression gates.  The timed sweep runs unprofiled, repeating
@@ -250,12 +248,6 @@ def run_scaling_bench(
     recorded as the attached profiler overhead.
     """
     from repro import execution as execution_registry
-
-    def shards_for(engine: str) -> Optional[int]:
-        if shards is None:
-            return None
-        plane = execution_registry.get_plane(engine)
-        return shards if plane.supports_shards else None
 
     # Sweep order: highest-capped engine first.  The big batch-v2
     # points are allocation-rate-bound, and the event engine's
@@ -271,8 +263,7 @@ def run_scaling_bench(
         ladder = [n for n in client_counts
                   if cap is None or n <= cap]
         results[engine] = [
-            _best_run(engine, n, rounds_for(n, rounds),
-                      shards_for(engine))
+            _best_run(engine, n, rounds_for(n, rounds))
             for n in ladder]
     results = {engine: results[engine] for engine in engines}
 
@@ -281,10 +272,10 @@ def run_scaling_bench(
     # cells/sec never moves a simulator trajectory gate.
     sim_results = {
         e: runs for e, runs in results.items()
-        if execution_registry.get_plane(e).transport == "sim"}
+        if execution_registry.resolve(e).transport == "sim"}
     net_results = {
         e: runs for e, runs in results.items()
-        if execution_registry.get_plane(e).transport == "udp"}
+        if execution_registry.resolve(e).transport == "udp"}
 
     entry: Dict[str, Any] = {
         "provenance": provenance(timestamp_utc),
@@ -315,8 +306,7 @@ def run_scaling_bench(
             with _gc_paused():
                 run = run_backbone(engine, headline,
                                    rounds_for(headline, rounds),
-                                   profiler=prof,
-                                   shards=shards_for(engine))
+                                   profiler=prof)
             phases[engine] = prof.report()
             if engine == "batch-v2":
                 profiled_v2 = run

@@ -51,9 +51,6 @@ def add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
                        action=_RemovedEngineAlias,
                        nargs=1, metavar="ENGINE",
                        help=argparse.SUPPRESS)
-    p_run.add_argument("--shards", type=int, default=None,
-                       help="worker-process count for shardable "
-                       "engines (batch-v2)")
     p_run.add_argument("--processes", dest="net_processes",
                        action="store_true",
                        help="asyncio engine only: host the UDP "
@@ -101,21 +98,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         report_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
 
-    def shards_for(engine: str):
-        # --shards applies to the shardable engine(s) of the set; a
-        # per-cell engine beside them just runs unsharded.
-        plane = execution_registry.get_plane(engine)
-        return args.shards if plane.supports_shards else None
-
     def procs_for(engine: str) -> bool:
         # --processes applies to the real-network engine(s) of the
         # set; a simulator engine beside them just runs in-process.
-        plane = execution_registry.get_plane(engine)
+        plane = execution_registry.resolve(engine)
         return args.net_processes and plane.transport == "udp"
 
     for scenario in scenarios:
         reports = [run_scenario(scenario, execution=engine,
-                                shards=shards_for(engine),
                                 net_processes=procs_for(engine),
                                 profile=args.profile)
                    for engine in engines]

@@ -131,13 +131,11 @@ def _sp_scope_of(spec: FaultSpec) -> Optional[str]:
 
 
 def execute(scenario: Scenario, *, execution: str = "event",
-            shards: Optional[int] = None,
             net_processes: Optional[bool] = None,
             scope=None, profiler=None) -> ScenarioOutcome:
     """Run one scenario end to end on the given execution engine
-    (any name registered with :mod:`repro.execution`; ``shards``
-    applies to shardable engines like ``batch-v2``,
-    ``net_processes`` to the real-network ``asyncio`` plane).
+    (any name registered with :mod:`repro.execution`;
+    ``net_processes`` applies to the real-network ``asyncio`` plane).
 
     ``scope`` is an optional :class:`repro.obs.instrument.Herdscope`
     wired into the loop, zone, and injector (metrics + traces).
@@ -146,7 +144,7 @@ def execute(scenario: Scenario, *, execution: str = "event",
     host-time side channel that never feeds the outcome (so the
     determinism key is byte-identical with or without it).
     """
-    plane_spec = execution_registry.resolve(execution, shards)
+    plane = execution_registry.resolve(execution)
     shape = scenario.zone
     plan = scenario.plan()
     loop = EventLoop(seed=scenario.seed)
@@ -157,7 +155,7 @@ def execute(scenario: Scenario, *, execution: str = "event",
                     n_sps=shape.n_sps, seed=scenario.seed, bed=bed,
                     zone_id=LIVE_ZONE,
                     client_prefix=shape.client_prefix,
-                    execution=execution, shards=shards,
+                    execution=execution,
                     net_processes=net_processes)
     for i in range(shape.n_direct_clients):
         bed.add_client(f"ctl-{i}", CTL_ZONE)
@@ -279,7 +277,7 @@ def execute(scenario: Scenario, *, execution: str = "event",
     # wire image when the adversary taps it.
     fabric = zone.attach_wire() \
         if scenario.adversary.kind == "wiretap" \
-        or plane_spec.transport == "udp" else None
+        or plane.transport == "udp" else None
 
     plan.compile_onto(loop, injector)
 
@@ -423,8 +421,6 @@ def execute(scenario: Scenario, *, execution: str = "event",
     wiretap = None
     net = None
     if fabric is not None:
-        # Sharded engines defer tap fan-out; the merge restores the
-        # canonical observation order (no-op otherwise).
         fabric.finalize()
         if scenario.adversary.kind == "wiretap":
             wiretap = {

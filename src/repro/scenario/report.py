@@ -7,8 +7,8 @@ with the scenario's survival metrics, the evaluated
 ``determinism_key`` — a content hash over every engine-invariant part
 of the outcome.  The key is the §9/§10 contract in one string: the
 same scenario and seed produce the same key on every registered
-engine (``event``, ``batch``, ``batch-v2`` at any shard count), and
-the CLI / CI corpus job fails when they diverge.
+engine (``event``, ``batch-v2``, ``asyncio``), and the CLI / CI
+corpus job fails when they diverge.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import hashlib
 import json
 from typing import Any, Dict, List, Optional
 
+from repro import execution as execution_registry
 from repro.api import RunReport, SimConfig, Simulation
 from repro.scenario.engine import ScenarioOutcome
 from repro.scenario.model import Scenario, SurvivalCriteria
@@ -123,10 +124,10 @@ class ScenarioReport(RunReport):
     """A :class:`RunReport` plus the scenario's survival verdict.
 
     The execution engine lives in the inherited :attr:`~repro.api
-    .RunReport.engine` / :attr:`~repro.api.RunReport.shards` fields —
-    the same vocabulary as the ``--engine`` / ``--shards`` CLI
-    flags.  The ``execution`` alias completed its deprecation cycle
-    (PR 9 warned; this release removes): reading it raises."""
+    .RunReport.engine` field — the same vocabulary as the
+    ``--engine`` CLI flag.  The ``execution`` alias completed its
+    deprecation cycle (PR 9 warned; this release removes): reading it
+    raises."""
 
     __slots__ = ("name", "scenario_signature",
                  "plan_signature", "survival", "timeline",
@@ -134,14 +135,14 @@ class ScenarioReport(RunReport):
                  "determinism_key")
 
     def __init__(self, *, scenario_def: Scenario, engine: str,
-                 base: RunReport, shards: int = 1):
+                 base: RunReport):
         outcome: ScenarioOutcome = base.detail
         super().__init__(scenario=base.scenario, seed=base.seed,
                          rounds_run=base.rounds_run,
                          metrics=base.metrics,
                          trace_events=base.trace_events,
                          trace_path=base.trace_path, detail=outcome,
-                         perf=base.perf, engine=engine, shards=shards)
+                         perf=base.perf, engine=engine)
         self.name = scenario_def.name
         self.scenario_signature = scenario_def.signature()
         self.plan_signature = outcome.plan_signature
@@ -198,7 +199,6 @@ class ScenarioReport(RunReport):
         artifact = {
             "name": self.name,
             "engine": self.engine,
-            "shards": self.shards,
             "seed": self.seed,
             "scenario_signature": self.scenario_signature,
             "plan_signature": self.plan_signature,
@@ -239,17 +239,19 @@ def run_scenario(scenario: Scenario, *, execution: str = "event",
     """Run one scenario through the :class:`Simulation` facade.
 
     ``execution`` is any engine name registered with
-    :mod:`repro.execution`; ``shards`` applies to shardable engines,
-    ``net_processes`` to the real-network ``asyncio`` plane (receive
-    endpoints in a separate worker process).  ``profile=True``
+    :mod:`repro.execution`; ``net_processes`` applies to the
+    real-network ``asyncio`` plane (receive endpoints in a separate
+    worker process).  ``shards`` only accepts ``None`` / ``1`` (zone
+    sharding was removed; see :func:`repro.execution.check_shards`).
+    ``profile=True``
     attaches a phase profiler; the per-phase breakdown lands in
     ``report.perf`` (and the CLI artifact's ``perf`` section)
     without changing the determinism key."""
+    execution_registry.check_shards(shards)
     sim = Simulation(SimConfig(scenario="scenario",
                                scenario_def=scenario,
                                seed=scenario.seed,
                                execution=execution,
-                               shards=shards,
                                net_processes=net_processes,
                                trace_path=trace_path,
                                trace_buffer=trace_buffer,
@@ -257,4 +259,4 @@ def run_scenario(scenario: Scenario, *, execution: str = "event",
     base = sim.run(until=scenario.horizon_s)
     return ScenarioReport(scenario_def=scenario,
                           engine=sim.config.execution,
-                          base=base, shards=sim.config.shards)
+                          base=base)

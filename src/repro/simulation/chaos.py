@@ -64,11 +64,9 @@ class ChaosConfig:
     #: chaos report's determinism key is identical under all of
     #: them.
     execution: str = "event"
-    #: Worker-process count for shardable engines (``batch-v2``).
-    shards: Optional[int] = None
 
     def __post_init__(self) -> None:
-        execution_registry.resolve(self.execution, self.shards)
+        execution_registry.resolve(self.execution)
 
 
 def default_plan() -> FaultPlan:
@@ -218,7 +216,7 @@ def run_chaos(config: Optional[ChaosConfig] = None, *,
     if overrides:
         cfg = replace(cfg, **overrides)
     outcome = execute(scenario_from_chaos_config(cfg),
-                      execution=cfg.execution, shards=cfg.shards,
+                      execution=cfg.execution,
                       scope=scope, profiler=profiler)
     return ChaosReport(
         plan_signature=outcome.plan_signature,

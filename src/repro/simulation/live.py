@@ -23,7 +23,8 @@ There is one round orchestration, :meth:`LiveZone.step`, on every
 execution plane: it gathers the whole round and hands it to the
 round-synchronous core entry points (``SuperPeer.process_round``,
 ``MixCallManager.process_round``).  The plane only decides how the
-round's wire image is carried (:meth:`LiveZone.attach_wire`).
+round's wire image is carried (:meth:`LiveZone.attach_wire`); every
+plane runs the zone in the calling process.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ class LiveZone:
 
     All parameters are keyword-only (positional forms were removed
     with the PR-3 deprecation cycle).  ``execution`` is any engine
-    name registered with :mod:`repro.execution`; ``shards`` applies
-    to shardable engines (``batch-v2``) and flows into the wire
-    plane created by :meth:`attach_wire`."""
+    name registered with :mod:`repro.execution`.  ``shards`` only
+    accepts ``None`` / ``1`` (zone sharding was removed; see
+    :func:`repro.execution.check_shards`)."""
 
     def __init__(self, *, n_clients: int = 12, n_channels: int = 4,
                  k: int = 2, n_sps: int = 1,
@@ -75,17 +76,15 @@ class LiveZone:
                  client_prefix: str = "client",
                  execution: str = "event",
                  shards: Optional[int] = None,
-                 shard_processes: Optional[bool] = None,
                  net_processes: Optional[bool] = None):
         if n_sps < 1:
             raise ValueError("need at least one superpeer")
         if n_sps > n_channels:
             raise ValueError("cannot have more SPs than channels")
-        plane_spec = execution_registry.resolve(execution, shards)
-        self.execution = plane_spec.name
-        self.transport = plane_spec.transport
-        self.shards = plane_spec.shards
-        self.shard_processes = shard_processes
+        execution_registry.check_shards(shards)
+        plane = execution_registry.resolve(execution)
+        self.execution = plane.name
+        self.transport = plane.transport
         self.net_processes = net_processes
         self.seed = seed
         #: Optional wire plane (see :meth:`attach_wire`): when set,
@@ -468,13 +467,11 @@ class LiveZone:
         imports neither implementation's socket machinery.  The
         adversary observes via ``fabric.observer``; further taps
         subscribe through ``fabric.add_tap``
-        (:mod:`repro.netsim.taps`).  Sharded engines defer tap
-        fan-out — call ``fabric.finalize()`` before reading
-        observations."""
+        (:mod:`repro.netsim.taps`); call ``fabric.finalize()``
+        before reading wire stats."""
         self.wire = execution_registry.create_wire_fabric(
             self.execution, seed=self.seed, interval=interval,
-            observer=observer, shards=self.shards,
-            shard_processes=self.shard_processes,
+            observer=observer,
             net_processes=self.net_processes)
         if self.prof is not None:
             self.wire.set_profiler(self.prof)

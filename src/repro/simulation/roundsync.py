@@ -16,10 +16,9 @@ in one of two representations:
   round, and the round's cells flatten into parallel ``keys`` /
   ``sizes`` / ``counts`` rows with aggregate chaff accounting,
   offered to every tap through
-  :func:`~repro.netsim.taps.offer_round_runs`.  O(runs) per round.
-  With ``shards > 1`` the per-(link, round) segments fan out to
-  worker processes (:mod:`repro.netsim.shards`) and
-  :meth:`WireFabric.finalize` merges them back into the same tables.
+  :func:`~repro.netsim.taps.offer_round_runs`.  O(runs) per round,
+  in the calling process; per-link wire stats are published once by
+  :meth:`WireFabric.finalize`.
 
 Engines resolve by name through the :mod:`repro.execution` registry —
 this module never string-matches beyond its resolved ``wire_mode``.
@@ -50,8 +49,6 @@ from repro.netsim.node import Node
 from repro.netsim.observer import LinkObserver
 from repro.netsim.packet import IP_UDP_HEADER_BYTES, Packet
 from repro.netsim.rounds import RoundScheduler
-from repro.netsim.shards import (ShardChunk, ShardPlan, ShardRunner,
-                                 ShardSegment, merge_results)
 from repro.netsim.taps import offer_round_runs
 
 #: One codec frame (20 ms G.711): the round tick of the data plane.
@@ -81,38 +78,26 @@ class WireFabric(CellTransport):
     execution:
         A simulator plane registered with :mod:`repro.execution` —
         ``"event"`` (per-cell events/packets) or ``"batch-v2"`` (one
-        run table per round, shardable).
+        run table per round).
     observer:
         The tap attached to every link; defaults to a fresh global
         :class:`~repro.netsim.observer.LinkObserver`.  Further taps
         subscribe via :meth:`add_tap`.
-    shards:
-        Worker-process count for shardable engines; ``shards > 1``
-        defers tap fan-out to :meth:`finalize` (run consumers call
-        it before reading observations).
-    shard_processes:
-        ``None`` (default) uses real worker processes whenever
-        ``shards > 1``; ``False`` runs the identical fan-out/merge
-        inline (what property tests use); ``True`` requires a pool.
     """
 
     def __init__(self, *, seed: int = 0,
                  interval: float = DEFAULT_ROUND_INTERVAL_S,
                  execution: str = "event",
-                 observer: Optional[LinkObserver] = None,
-                 shards: Optional[int] = None,
-                 shard_processes: Optional[bool] = None):
-        spec = execution_registry.resolve(execution, shards)
-        if spec.transport != "sim":
+                 observer: Optional[LinkObserver] = None):
+        plane = execution_registry.resolve(execution)
+        if plane.transport != "sim":
             raise ValueError(
-                f"execution plane {spec.name!r} runs on the "
-                f"{spec.transport!r} transport; build it through "
+                f"execution plane {plane.name!r} runs on the "
+                f"{plane.transport!r} transport; build it through "
                 f"repro.execution.create_wire_fabric, not "
                 f"WireFabric")
-        self.execution = spec.name
-        self.wire_mode = spec.wire_mode
-        self.shards = spec.shards
-        self.shard_processes = shard_processes
+        self.execution = plane.name
+        self.wire_mode = plane.wire_mode
         self.loop = EventLoop(seed=seed)
         self.scheduler = RoundScheduler(self.loop, interval)
         self.scheduler.on_round(self._offer_run_table)
@@ -123,12 +108,8 @@ class WireFabric(CellTransport):
         self.taps: List = [self.observer]
         self.nodes: Dict[str, Node] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
-        self._shard_plan = ShardPlan(self.shards)
-        self._shard_buffers: List[List[ShardSegment]] = [
-            [] for _ in range(self.shards)]
-        self._next_slot = 0
-        #: Unsharded vector mode accumulates cumulative per-link wire
-        #: totals here (``[cells, bytes]`` per directed ``(src,
+        #: Vector mode accumulates cumulative per-link wire totals
+        #: here (``[cells, bytes]`` per directed ``(src,
         #: dst)``); :meth:`finalize` applies them to the lazy
         #: topology in one pass.
         self._link_totals: Dict[Tuple[str, str], List[int]] = {}
@@ -281,130 +262,81 @@ class WireFabric(CellTransport):
     def _offer_run_table(self, round_index: int) -> None:
         """Vector-engine round handler (``batch-v2``).
 
-        Single-shard: the round's runs flatten into one run *table*
-        (parallel ``keys``/``sizes``/``counts`` rows, link-contiguous
-        in first-emission order) offered to every tap through
+        The round's runs flatten into one run *table* (parallel
+        ``keys``/``sizes``/``counts`` rows, link-contiguous in
+        first-emission order) offered to every tap through
         :func:`~repro.netsim.taps.offer_round_runs` — aggregate chaff
         accounting with O(runs) work and a small constant.  Link and
-        node wire stats materialize from the buffered tables at
-        :meth:`finalize`, never per round.
-
-        Sharded: the same aggregate images are buffered as
-        :class:`~repro.netsim.shards.ShardSegment` records, each
-        stamped with its global emission slot, and routed to shards
-        by the deterministic :class:`~repro.netsim.shards.ShardPlan`;
-        workers and the order-restoring merge run in
-        :meth:`finalize`, which offers the taps the same per-round
-        tables.  ``cells_carried`` stays eager either way.
+        node wire stats accumulate in per-link totals and materialize
+        at :meth:`finalize`, never per round.
         """
         prof = self.prof
         if prof is not None:
             prof.begin("deliver")
-        before = self.cells_carried
-        if self.shards > 1:
-            t = self.scheduler.time_of(round_index)
-            shard_of = self._shard_plan.shard_of
-            buffers = self._shard_buffers
-            for (src, dst), runs in self._pending.items():
-                sizes = tuple(len(payload) + IP_UDP_HEADER_BYTES
-                              for payload, _, _ in runs)
-                counts = tuple(count for _, _, count in runs)
-                buffers[shard_of(src, dst)].append(ShardSegment(
-                    round_index=round_index, slot=self._next_slot,
-                    time=t, src=src, dst=dst, sizes=sizes,
-                    counts=counts))
-                self._next_slot += 1
-                self.cells_carried += sum(counts)
-        else:
-            t = self.scheduler.time_of(round_index)
-            keys: List[Tuple[str, str]] = []
-            sizes: List[int] = []
-            counts: List[int] = []
-            add_key = keys.append
-            add_size = sizes.append
-            add_count = counts.append
-            totals = self._link_totals
-            round_cells = 0
-            for key, runs in self._pending.items():
-                link_cells = 0
-                link_bytes = 0
-                for payload, _kind, count in runs:
-                    size = len(payload) + IP_UDP_HEADER_BYTES
-                    add_key(key)
-                    add_size(size)
-                    add_count(count)
-                    link_cells += count
-                    link_bytes += size * count
-                entry = totals.get(key)
-                if entry is None:
-                    totals[key] = [link_cells, link_bytes]
-                else:
-                    entry[0] += link_cells
-                    entry[1] += link_bytes
-                round_cells += link_cells
-            self.cells_carried += round_cells
-            self._vector_segments += len(keys)
-            if prof is not None:
-                prof.begin("adversary-observe")
-            for tap in self.taps:
-                offer_round_runs(tap, t, keys, sizes, counts)
-            if prof is not None:
-                prof.end(cells=round_cells)
+        t = self.scheduler.time_of(round_index)
+        keys: List[Tuple[str, str]] = []
+        sizes: List[int] = []
+        counts: List[int] = []
+        add_key = keys.append
+        add_size = sizes.append
+        add_count = counts.append
+        totals = self._link_totals
+        round_cells = 0
+        for key, runs in self._pending.items():
+            link_cells = 0
+            link_bytes = 0
+            for payload, _kind, count in runs:
+                size = len(payload) + IP_UDP_HEADER_BYTES
+                add_key(key)
+                add_size(size)
+                add_count(count)
+                link_cells += count
+                link_bytes += size * count
+            entry = totals.get(key)
+            if entry is None:
+                totals[key] = [link_cells, link_bytes]
+            else:
+                entry[0] += link_cells
+                entry[1] += link_bytes
+            round_cells += link_cells
+        self.cells_carried += round_cells
+        self._vector_segments += len(keys)
+        if prof is not None:
+            prof.begin("adversary-observe")
+        for tap in self.taps:
+            offer_round_runs(tap, t, keys, sizes, counts)
+        if prof is not None:
+            prof.end(cells=round_cells)
         self._pending.clear()
         self.rounds_flushed += 1
         if prof is not None:
-            prof.end(cells=self.cells_carried - before)
+            prof.end(cells=round_cells)
 
     def finalize(self) -> Optional[Dict[str, object]]:
-        """Complete the vector plane's deferred aggregate work.
+        """Publish the vector plane's accumulated per-link totals.
 
-        Sharded: fan buffered segment chunks out to workers and merge
-        results in deterministic ``(round_index, slot)`` order into
-        every tap.  Unsharded: publish the accumulated per-link
-        totals (taps were already fed per round).  Both then apply
-        the aggregate link/node stat deltas to *existing* topology;
-        deltas for links/nodes nobody materialized stay pending and
-        drain on first :meth:`link_between` / :meth:`node` access —
-        stats are never a reason to allocate topology.
+        Taps were already fed per round; this applies the aggregate
+        link/node stat deltas to *existing* topology.  Deltas for
+        links/nodes nobody materialized stay pending and drain on
+        first :meth:`link_between` / :meth:`node` access — stats are
+        never a reason to allocate topology.
 
         Idempotent; a no-op (returns ``None``) on the event engine.
-        Run consumers call this before reading wire stats —
-        and, under ``shards > 1``, before reading ``observer`` state,
-        which exists only after the merge.
+        Run consumers call this before reading wire stats.
         """
         if self.wire_mode != "vector":
             return None
         if self._finalized is not None:
             return self._finalized
-        prof = self.prof
-        if self.shards > 1:
-            chunks = [ShardChunk(shard_id=shard_id,
-                                 segments=tuple(segs))
-                      for shard_id, segs
-                      in enumerate(self._shard_buffers) if segs]
-            with ShardRunner(self.shards,
-                             processes=self.shard_processes) as runner:
-                results = runner.run(chunks)
-            if prof is not None:
-                prof.begin("adversary-observe")
-            merged = merge_results(results, taps=self.taps)
-            if prof is not None:
-                prof.end(cells=merged["cells"])
-            self._shard_buffers = [[] for _ in range(self.shards)]
-        else:
-            cells = n_bytes = 0
-            link_stats: Dict[Tuple[str, str], Tuple[int, int]] = {}
-            for key, (c, b) in self._link_totals.items():
-                link_stats[key] = (c, b)
-                cells += c
-                n_bytes += b
-            merged = {
-                "cells": cells,
-                "bytes": n_bytes,
-                "segments": self._vector_segments,
-                "link_stats": link_stats,
-            }
-            self._link_totals = {}
+        link_stats: Dict[Tuple[str, str], Tuple[int, int]] = {
+            key: (c, b) for key, (c, b) in self._link_totals.items()}
+        merged = {
+            "cells": sum(c for c, _ in link_stats.values()),
+            "bytes": sum(b for _, b in link_stats.values()),
+            "segments": self._vector_segments,
+            "link_stats": link_stats,
+        }
+        self._link_totals = {}
         for (src, dst), (cells, n_bytes) in \
                 merged["link_stats"].items():
             canonical = (src, dst) if src <= dst else (dst, src)

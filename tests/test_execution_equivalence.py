@@ -3,8 +3,7 @@
 DESIGN.md §9: a seeded run produces *byte-identical* adversary
 observations, metrics snapshots, and JSONL traces whether its wire
 image is carried per cell (the ``event`` reference oracle) or as one
-run table per round (the ``batch-v2`` plane, DESIGN.md §13) at any
-shard count.
+run table per round (the ``batch-v2`` plane, DESIGN.md §13).
 The engines may differ in anything an adversary cannot see — events
 processed, objects allocated, wall-clock speed — and nothing else.
 
@@ -13,8 +12,6 @@ This file pins that contract:
 * an exact event vs batch-v2 comparison of all three output surfaces
   for the live scenario (plus a pinned digest, so a change that breaks
   all engines in lockstep still trips a review);
-* ``batch-v2`` at shards 1, 2, and 4 held to the same surfaces and
-  the same pinned digest;
 * testbed and chaos scenarios compared across engines;
 * a hypothesis sweep over random seeds and zone shapes comparing the
   E9 constant-rate census and the wiretap size/time sequences.
@@ -86,26 +83,6 @@ class TestLiveEquivalence:
         v2 = _live_run("batch-v2")
         assert _wiretap_digest(event) == _wiretap_digest(v2) == \
             PINNED_WIRETAP_SHA256
-
-    def test_batch_v2_all_surfaces_at_shards_1_2_4(self, tmp_path):
-        """§13: the vectorized plane — at every shard count — holds
-        the same three-surface contract and the same pinned digest as
-        the per-cell engines."""
-        event = _live_run("event", trace_path=tmp_path / "event.jsonl")
-        for shards in (1, 2, 4):
-            v2 = _live_run("batch-v2", shards=shards,
-                           trace_path=tmp_path / f"v2-{shards}.jsonl")
-            assert v2.engine == "batch-v2" and v2.shards == shards
-            assert v2.detail["wiretap"]["observations"] == \
-                event.detail["wiretap"]["observations"]
-            assert v2.metrics == event.metrics
-            assert v2.to_prometheus() == event.to_prometheus()
-            assert (tmp_path / f"v2-{shards}.jsonl").read_bytes() == \
-                (tmp_path / "event.jsonl").read_bytes()
-            assert _wiretap_digest(v2) == PINNED_WIRETAP_SHA256
-            # Vector plane: O(rounds) wire events.
-            assert v2.detail["wiretap"]["wire_events_processed"] < \
-                event.detail["wiretap"]["wire_events_processed"]
 
     def test_equivalence_survives_mid_run_sp_failure(self):
         def run(execution):
@@ -241,19 +218,18 @@ class TestScenarioEquivalence:
     def test_degradation_faults_equivalent_across_engines(self):
         event = run_scenario(self.DEGRADATION_SCENARIO,
                              execution="event")
-        for shards in (1, 4):
-            v2 = run_scenario(self.DEGRADATION_SCENARIO,
-                              execution="batch-v2", shards=shards)
-            assert v2.determinism_key == event.determinism_key
-            assert v2.metrics == event.metrics
-            # The fault timeline replays identically: same onsets,
-            # same reverts, same virtual times.
-            assert v2.timeline == event.timeline
-            # The adversary's view is byte-identical, even while
-            # loss, jitter, and degradation windows churn link state.
-            assert v2.detail.wiretap["observations"] == \
-                event.detail.wiretap["observations"]
-            assert v2.passed
+        v2 = run_scenario(self.DEGRADATION_SCENARIO,
+                          execution="batch-v2")
+        assert v2.determinism_key == event.determinism_key
+        assert v2.metrics == event.metrics
+        # The fault timeline replays identically: same onsets, same
+        # reverts, same virtual times.
+        assert v2.timeline == event.timeline
+        # The adversary's view is byte-identical, even while loss,
+        # jitter, and degradation windows churn link state.
+        assert v2.detail.wiretap["observations"] == \
+            event.detail.wiretap["observations"]
+        assert v2.passed
         assert len(event.detail.wiretap["observations"]) > 0
         actions = [entry[1] for entry in event.timeline]
         assert actions.count("injected") == 3

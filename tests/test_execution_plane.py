@@ -3,18 +3,16 @@
 DESIGN.md §13: ``SimConfig(execution=...)`` and every CLI ``--engine``
 flag resolve through :mod:`repro.execution` — one registry owning the
 mapping from an engine name to how the wire plane carries a round
-(``wire_mode``), whether the plane shards across worker processes,
-and which *transport* carries the wire image (``sim`` in memory vs
-``udp`` loopback datagrams).  These tests pin the registry surface,
-its validation errors, the facade integration (``RunReport.engine`` /
-``RunReport.shards`` everywhere), the *completed* deprecation cycle
-(``ScenarioReport.execution`` and the ``--execution`` CLI flag warned
-for one cycle and now raise), and the open one: the removed
-``"batch"`` plane resolves to ``"batch-v2"`` with a
-``DeprecationWarning``.
+(``wire_mode``) and which *transport* carries the wire image (``sim``
+in memory vs ``udp`` loopback datagrams).  These tests pin the
+registry surface, its validation errors, the facade integration
+(``RunReport.engine`` everywhere), the completed deprecation cycles
+(``ScenarioReport.execution``, the ``--execution`` CLI flag and the
+``"batch"`` plane name all raise now) and the removal of zone
+sharding: ``shards`` is gone from every config, report and CLI, and
+the three benchmark entry points that still take it accept only
+``None`` / ``1``.
 """
-
-import warnings
 
 import pytest
 
@@ -28,34 +26,24 @@ class TestRegistry:
                                            "asyncio")
 
     def test_plane_specs(self):
-        event = execution.get_plane("event")
-        assert event.wire_mode == "event"
-        assert not event.supports_shards
-        v2 = execution.get_plane("batch-v2")
-        assert v2.wire_mode == "vector"
-        assert v2.supports_shards
+        assert execution.resolve("event").wire_mode == "event"
+        assert execution.resolve("batch-v2").wire_mode == "vector"
 
-    def test_batch_alias_warns_and_resolves_to_batch_v2(self):
-        with pytest.warns(DeprecationWarning, match="batch-v2"):
-            spec = execution.resolve("batch")
-        assert spec.plane is execution.get_plane("batch-v2")
-        assert spec.name == "batch-v2" and spec.shards == 1
-        with pytest.warns(DeprecationWarning):
-            assert execution.resolve("batch", 4).shards == 4
-        # Registered names resolve silently.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            execution.resolve("batch-v2")
+    def test_removed_batch_name_suggests_batch_v2(self):
+        # The one-cycle "batch" alias is gone: the name is unknown
+        # like any other, with the usual did-you-mean hint.
+        with pytest.raises(ValueError,
+                           match="did you mean 'batch-v2'"):
+            execution.resolve("batch")
 
     def test_transport_axis(self):
         # Every simulator plane runs on the "sim" transport; the
         # asyncio plane is the only one on real sockets.
         for name in ("event", "batch-v2"):
-            assert execution.get_plane(name).transport == "sim"
-        net = execution.get_plane("asyncio")
+            assert execution.resolve(name).transport == "sim"
+        net = execution.resolve("asyncio")
         assert net.transport == "udp"
         assert net.wire_mode == "socket"
-        assert not net.supports_shards
 
     def test_create_wire_fabric_seam(self):
         # The transport seam hands protocol code a CellTransport
@@ -76,34 +64,48 @@ class TestRegistry:
 
     def test_unknown_name_suggests(self):
         with pytest.raises(ValueError, match="batch-v2"):
-            execution.get_plane("batch-v3")
+            execution.resolve("batch-v3")
         with pytest.raises(ValueError, match="event"):
             execution.resolve("events")
 
-    def test_resolve_defaults_and_shards(self):
-        spec = execution.resolve("event")
-        assert spec.name == "event" and spec.shards == 1
-        spec = execution.resolve("batch-v2", 4)
-        assert spec.name == "batch-v2" and spec.shards == 4
-        # shards=1 is the no-op spelling every plane accepts.
-        assert execution.resolve("asyncio", 1).shards == 1
+    def test_resolve_returns_the_registered_plane(self):
+        for name in execution.plane_names():
+            plane = execution.resolve(name)
+            assert isinstance(plane, execution.ExecutionPlane)
+            assert plane.name == name
 
-    def test_resolve_rejects_bad_shards(self):
-        with pytest.raises(ValueError, match="shards"):
-            execution.resolve("batch-v2", 0)
-        with pytest.raises(ValueError, match="shard"):
-            execution.resolve("event", 2)
-        with pytest.raises(ValueError, match="shard"):
-            execution.resolve("asyncio", 4)
+    def test_check_shards_accepts_only_one(self):
+        # The vestigial parameter of LiveZone, run_scenario and
+        # run_backbone: the single-process spellings pass, anything
+        # else names the removal.
+        from repro.obs.prof.bench import run_backbone
+        from repro.scenario import run_scenario
+        from repro.scenario.loader import load_scenario
+        from repro.simulation.live import LiveZone
+        execution.check_shards(None)
+        execution.check_shards(1)
+        for bad in (0, 2, 4):
+            with pytest.raises(ValueError,
+                               match="zone sharding was removed"):
+                execution.check_shards(bad)
+        assert run_backbone("batch-v2", 100, 2, shards=1)["cells"] \
+            == run_backbone("batch-v2", 100, 2)["cells"] == 400
+        with pytest.raises(ValueError, match="sharding was removed"):
+            run_backbone("batch-v2", 100, 2, shards=2)
+        with pytest.raises(ValueError, match="sharding was removed"):
+            LiveZone(n_clients=4, execution="batch-v2", shards=2)
+        scenario = load_scenario("scenarios/00-baseline.toml")
+        with pytest.raises(ValueError, match="sharding was removed"):
+            run_scenario(scenario, execution="batch-v2", shards=4)
 
 
 class TestFacadeIntegration:
     def test_simconfig_resolves_plane(self):
-        cfg = SimConfig(seed=1, execution="batch-v2", shards=2)
-        assert cfg.execution == "batch-v2" and cfg.shards == 2
-        assert SimConfig(seed=1).shards == 1
-        with pytest.raises(ValueError):
-            SimConfig(seed=1, execution="event", shards=2)
+        cfg = SimConfig(seed=1, execution="batch-v2")
+        assert cfg.execution == "batch-v2"
+        assert not hasattr(cfg, "shards")
+        with pytest.raises(TypeError):
+            SimConfig(seed=1, execution="batch-v2", shards=2)
         with pytest.raises(ValueError):
             SimConfig(seed=1, execution="nope")
 
@@ -112,8 +114,9 @@ class TestFacadeIntegration:
                                       execution="batch-v2")).run(
                                           rounds=5)
         assert report.engine == "batch-v2"
-        assert report.shards == 1
+        assert not hasattr(report, "shards")
         assert report.detail["engine"] == "batch-v2"
+        assert "shards" not in report.detail
 
     def test_scenario_report_execution_alias_removed(self):
         from repro.scenario import run_scenario
@@ -127,7 +130,7 @@ class TestFacadeIntegration:
         artifact = report.to_artifact_dict()
         assert artifact["engine"] == "batch-v2"
         assert "execution" not in artifact
-        assert artifact["shards"] == 1
+        assert "shards" not in artifact
 
     def test_simconfig_net_processes_validation(self):
         with pytest.raises(ValueError, match="transport"):
@@ -143,20 +146,33 @@ class TestFacadeIntegration:
         report = RunReport(scenario="live", seed=0, rounds_run=0,
                            metrics={}, trace_events=[],
                            trace_path=None, detail=None)
-        assert report.engine == "event" and report.shards == 1
+        assert report.engine == "event"
 
 
 class TestCLIVocabulary:
-    """Satellite: ``repro metrics`` / ``repro scenario`` / ``repro
-    bench`` all speak ``--engine`` / ``--shards``; ``--execution``
-    finished its deprecation cycle and is now a hard parse error."""
+    """``repro metrics`` / ``repro scenario`` / ``repro bench`` all
+    speak ``--engine``; ``--execution`` finished its deprecation cycle
+    and is now a hard parse error, and ``--shards`` is gone."""
 
     def test_metrics_engine_flag(self, capsys):
         from repro.cli import main
-        assert main(["metrics", "--engine", "batch-v2", "--shards",
-                     "2", "--rounds", "5", "--format", "json"]) == 0
+        assert main(["metrics", "--engine", "batch-v2", "--rounds",
+                     "5", "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert "herd_" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--engine", "batch-v2", "--shards", "2"],
+        ["scenario", "run", "scenarios/00-baseline.toml",
+         "--shards", "2"],
+        ["bench", "run", "--shards", "2"],
+    ])
+    def test_shards_flag_removed(self, argv, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--shards" in capsys.readouterr().err
 
     def test_metrics_execution_alias_removed(self, capsys):
         from repro.cli import main
@@ -179,7 +195,7 @@ class TestCLIVocabulary:
     def test_scenario_engine_flag(self, capsys):
         from repro.cli import main
         code = main(["scenario", "run", "scenarios/00-baseline.toml",
-                     "--engine", "batch-v2", "--shards", "2"])
+                     "--engine", "batch-v2"])
         out = capsys.readouterr().out
         assert code == 0
         assert "[batch-v2]" in out
